@@ -13,7 +13,7 @@ func TestBackwardTransferDeliversAllBytes(t *testing.T) {
 	// plaintext cells; the exit seals and encrypts, every relay adds a
 	// layer, the client unwraps all of them.
 	_, c := threeHopNet(t, 1, units.Mbps(8), units.Mbps(100), TransportOptions{})
-	n := c.network
+	n := c.srcNet
 
 	size := 200 * units.Kilobyte
 	var got time.Duration
@@ -39,7 +39,7 @@ func TestBackwardCircuitStartConverges(t *testing.T) {
 	// The download direction runs the same startup scheme; the server's
 	// sender must converge like the client's does in the upload case.
 	_, c := threeHopNet(t, 1, units.Mbps(8), units.Mbps(100), TransportOptions{})
-	n := c.network
+	n := c.srcNet
 	c.TransferBackward(2*units.Megabyte, nil)
 	n.RunUntil(3 * sim.Second)
 
@@ -56,7 +56,7 @@ func TestBidirectionalTransfersShareCircuit(t *testing.T) {
 	// Simultaneous upload and download on one circuit: both directions
 	// are independent transports and must both complete.
 	_, c := threeHopNet(t, 1, units.Mbps(8), units.Mbps(100), TransportOptions{})
-	n := c.network
+	n := c.srcNet
 
 	up := 100 * units.Kilobyte
 	down := 150 * units.Kilobyte
@@ -103,7 +103,7 @@ func TestBackwardDeterminism(t *testing.T) {
 	run := func() time.Duration {
 		_, c := threeHopNet(t, 1, units.Mbps(8), units.Mbps(100), TransportOptions{})
 		c.TransferBackward(150*units.Kilobyte, nil)
-		c.network.RunUntil(60 * sim.Second)
+		c.srcNet.RunUntil(60 * sim.Second)
 		ttlb, ok := c.TTLB()
 		if !ok {
 			t.Fatal("incomplete")

@@ -152,11 +152,18 @@ type CircuitSpec struct {
 	TraceCwnd bool
 }
 
-// Circuit is a built, runnable circuit.
+// Circuit is a built, runnable circuit. Its relays and endpoints may
+// live on different shards of a ShardedNetwork; the data plane is the
+// same either way, and only the control plane (build, transfer
+// scheduling, teardown) must run while every clock is parked.
 type Circuit struct {
-	id      cell.CircID
-	network *Network
-	spec    CircuitSpec
+	id   cell.CircID
+	host host
+	spec CircuitSpec
+
+	// srcNet and sinkNet own the source and sink endpoints; on one
+	// clock both are the same network.
+	srcNet, sinkNet *Network
 
 	source *endpoint.Source
 	sink   *endpoint.Sink
@@ -178,26 +185,34 @@ type Circuit struct {
 // BuildCircuit constructs the circuit: per-hop key establishment with
 // each relay, endpoint attachment, and transport wiring at every hop.
 func (n *Network) BuildCircuit(spec CircuitSpec) (*Circuit, error) {
+	return buildCircuit(n, spec)
+}
+
+// buildCircuit is BuildCircuit on any host: keys come from the host's
+// one key stream in call order, each relay hop is wired on the network
+// owning the relay, and each endpoint attaches on the network owning it.
+func buildCircuit(h host, spec CircuitSpec) (*Circuit, error) {
 	if len(spec.Relays) == 0 {
 		return nil, fmt.Errorf("core: circuit with no relays")
 	}
 	if spec.Source == "" || spec.Sink == "" {
 		return nil, fmt.Errorf("core: circuit needs source and sink IDs")
 	}
+	g := h.reg()
 	if spec.ID == 0 {
-		n.nextAutoCirc++
-		spec.ID = cell.CircID(n.nextAutoCirc)
+		g.nextAutoCirc++
+		spec.ID = cell.CircID(g.nextAutoCirc)
 	}
 
 	idents := make([]*onion.Identity, len(spec.Relays))
 	for i, id := range spec.Relays {
-		ident := n.identities[id]
+		ident := g.identities[id]
 		if ident == nil {
 			return nil, fmt.Errorf("core: relay %q not attached", id)
 		}
 		idents[i] = ident
 	}
-	clientCrypto, relayKeys, err := onion.BuildCircuit(randReader{n.keyRNG}, idents)
+	clientCrypto, relayKeys, err := onion.BuildCircuit(randReader{g.keyRNG}, idents)
 	if err != nil {
 		return nil, err
 	}
@@ -207,23 +222,25 @@ func (n *Network) BuildCircuit(spec CircuitSpec) (*Circuit, error) {
 		return nil, err
 	}
 
+	srcNet, sinkNet := h.netOf(spec.Source), h.netOf(spec.Sink)
 	var c *Circuit
-	if n.ar != nil {
+	if srcNet.ar != nil {
 		// Trial-lifetime object: draw from the arena slab so churned
 		// circuits stop costing a heap allocation each. The pointer is
 		// valid until the arena's next ResetTrial.
-		slab := n.ar.Slot("core.circuits", func() any {
+		slab := srcNet.ar.Slot("core.circuits", func() any {
 			return new(arena.Slab[Circuit])
 		}).(*arena.Slab[Circuit])
 		c = slab.New()
 	} else {
 		c = &Circuit{}
 	}
-	*c = Circuit{id: spec.ID, network: n, spec: spec, builtAt: n.Now()}
+	*c = Circuit{id: spec.ID, host: h, spec: spec, srcNet: srcNet, sinkNet: sinkNet, builtAt: srcNet.Now()}
 
 	// Wire the relay hops. Hop i of the circuit runs between node i and
 	// node i+1 of the sequence source, relays..., sink.
 	for i, id := range spec.Relays {
+		n := h.netOf(id)
 		r := n.relays[id]
 		pred := spec.Source
 		if i > 0 {
@@ -250,7 +267,7 @@ func (n *Network) BuildCircuit(spec CircuitSpec) (*Circuit, error) {
 			// Admission refused: unwind the hops already wired so the
 			// earlier relays release their (admitted) state.
 			for _, prev := range spec.Relays[:i] {
-				n.relays[prev].RemoveHop(spec.ID)
+				h.Relay(prev).RemoveHop(spec.ID)
 			}
 			return nil, fmt.Errorf("core: circuit %d refused by relay %q: %w", spec.ID, id, ErrCircuitRejected)
 		}
@@ -263,23 +280,23 @@ func (n *Network) BuildCircuit(spec CircuitSpec) (*Circuit, error) {
 	}
 	if spec.TraceCwnd {
 		c.sourceTrace = metrics.NewSeries("cwnd_cells_source")
-		clock := n.clock
+		clock := srcNet.clock
 		srcCfg.OnCwnd = func(cwnd float64, _ transport.Phase) {
 			c.sourceTrace.Record(clock.Now(), cwnd)
 		}
 	}
-	c.source = endpoint.NewSource(spec.Source, n.fabric, spec.SourceAccess,
-		spec.ID, clientCrypto, spec.Relays[0], srcCfg, n.lossRNG)
-	c.source.UseCellPool(n.cellPool)
-	c.source.UseSegmentPool(n.segPool)
+	c.source = endpoint.NewSource(spec.Source, srcNet.fabric, spec.SourceAccess,
+		spec.ID, clientCrypto, spec.Relays[0], srcCfg, srcNet.lossRNG)
+	c.source.UseCellPool(srcNet.cellPool)
+	c.source.UseSegmentPool(srcNet.segPool)
 	sinkCfg := tmpl
 	if sinkCfg.Startup, err = spec.Transport.policy(); err != nil {
 		return nil, err
 	}
-	c.sink = endpoint.NewSink(spec.Sink, n.fabric, spec.SinkAccess,
-		spec.ID, spec.Relays[len(spec.Relays)-1], sinkCfg, n.lossRNG)
-	c.sink.UseCellPool(n.cellPool)
-	c.sink.UseSegmentPool(n.segPool)
+	c.sink = endpoint.NewSink(spec.Sink, sinkNet.fabric, spec.SinkAccess,
+		spec.ID, spec.Relays[len(spec.Relays)-1], sinkCfg, sinkNet.lossRNG)
+	c.sink.UseCellPool(sinkNet.cellPool)
+	c.sink.UseSegmentPool(sinkNet.segPool)
 
 	// Analytic model of the same path, including any backbone trunks
 	// each hop crosses on a routed fabric.
@@ -290,7 +307,7 @@ func (n *Network) BuildCircuit(spec CircuitSpec) (*Circuit, error) {
 	nodes := make([]model.Node, len(seq))
 	nodes[0] = model.FromAccess(spec.SourceAccess)
 	for i, id := range spec.Relays {
-		nodes[i+1] = model.FromAccess(n.relays[id].Port().Config())
+		nodes[i+1] = model.FromAccess(h.Relay(id).Port().Config())
 	}
 	nodes[len(nodes)-1] = model.FromAccess(spec.SinkAccess)
 	// Forward and reverse routes separately: equal-cost routing may
@@ -298,18 +315,18 @@ func (n *Network) BuildCircuit(spec CircuitSpec) (*Circuit, error) {
 	fwd := make([][]model.Transit, len(seq)-1)
 	rev := make([][]model.Transit, len(seq)-1)
 	for i := 0; i+1 < len(seq); i++ {
-		for _, l := range n.fabric.PathTransits(seq[i], seq[i+1]) {
+		for _, l := range h.pathTransits(seq[i], seq[i+1]) {
 			lc := l.Config()
 			fwd[i] = append(fwd[i], model.Transit{Rate: lc.Rate, Delay: lc.Delay})
 		}
-		for _, l := range n.fabric.PathTransits(seq[i+1], seq[i]) {
+		for _, l := range h.pathTransits(seq[i+1], seq[i]) {
 			lc := l.Config()
 			rev[i] = append(rev[i], model.Transit{Rate: lc.Rate, Delay: lc.Delay})
 		}
 	}
 	c.path = model.NewPathWithTransits(nodes, fwd, rev)
 
-	n.circuits[spec.ID] = c
+	g.circuits[spec.ID] = c
 	return c, nil
 }
 
@@ -337,7 +354,7 @@ func (c *Circuit) SourceSender() *transport.Sender { return c.source.Sender() }
 
 // RelaySender returns relay i's onward sender on this circuit.
 func (c *Circuit) RelaySender(i int) *transport.Sender {
-	return c.network.relays[c.spec.Relays[i]].HopSender(c.id)
+	return c.host.Relay(c.spec.Relays[i]).HopSender(c.id)
 }
 
 // Hops returns the number of transport hops (relays + 1).
@@ -369,7 +386,7 @@ func (c *Circuit) Transfer(size units.DataSize, onComplete func(ttlb time.Durati
 	if c.closed {
 		panic("core: Transfer on a torn-down circuit")
 	}
-	c.transferStart = c.network.Now()
+	c.transferStart = c.srcNet.Now()
 	c.done = false
 	c.sink.Expect(size, func(at sim.Time) {
 		c.ttlb = at.Sub(c.transferStart)
@@ -395,7 +412,7 @@ func (c *Circuit) TransferBackward(size units.DataSize, onComplete func(ttlb tim
 	if c.closed {
 		panic("core: TransferBackward on a torn-down circuit")
 	}
-	c.transferStart = c.network.Now()
+	c.transferStart = c.srcNet.Now()
 	c.done = false
 	c.source.ExpectDownload(size, func(at sim.Time) {
 		c.ttlb = at.Sub(c.transferStart)
@@ -407,6 +424,38 @@ func (c *Circuit) TransferBackward(size units.DataSize, onComplete func(ttlb tim
 	c.sink.SendBackward(size)
 }
 
+// ScheduleTransfer arms a transfer of size bytes starting at the
+// absolute instant at: the receiving endpoint's expectation and the
+// first send, each on the clock of the network owning that endpoint, at
+// the same virtual instant — the two calls Transfer (or, with download
+// set, TransferBackward) makes inline. at must not precede either
+// clock; on a ShardedNetwork call it at a barrier (or t = 0).
+func (c *Circuit) ScheduleTransfer(at sim.Time, size units.DataSize, download bool, onComplete func(ttlb time.Duration)) {
+	if size <= 0 {
+		panic(fmt.Sprintf("core: ScheduleTransfer(%v)", size))
+	}
+	if c.closed {
+		panic("core: ScheduleTransfer on a torn-down circuit")
+	}
+	c.transferStart = at
+	c.done = false
+	complete := func(end sim.Time) {
+		c.ttlb = end.Sub(c.transferStart)
+		c.done = true
+		if onComplete != nil {
+			onComplete(c.ttlb)
+		}
+	}
+	srcClock, sinkClock := c.srcNet.clock, c.sinkNet.clock
+	if download {
+		srcClock.At(at, func() { c.source.ExpectDownload(size, complete) })
+		sinkClock.At(at, func() { c.sink.SendBackward(size) })
+	} else {
+		sinkClock.At(at, func() { c.sink.Expect(size, complete) })
+		srcClock.At(at, func() { c.source.Send(size) })
+	}
+}
+
 // Teardown closes the circuit and releases its state: every relay on
 // the path drops the circuit's hop (both directions' transport
 // instances close, their timer events returning to the clock's free
@@ -415,16 +464,17 @@ func (c *Circuit) TransferBackward(size units.DataSize, onComplete func(ttlb tim
 // progress is abandoned — Done stays false and no completion callback
 // fires. Frames already in flight when the circuit dies are absorbed
 // (relays count them as UnknownCircuit, endpoints drop them silently).
-// Teardown is idempotent.
+// Teardown is idempotent. On a ShardedNetwork call it only at a
+// barrier: it mutates relays across shards.
 func (c *Circuit) Teardown() {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	c.closedAt = c.network.Now()
-	delete(c.network.circuits, c.id)
+	c.closedAt = c.srcNet.Now()
+	delete(c.host.reg().circuits, c.id)
 	for _, id := range c.spec.Relays {
-		if r := c.network.relays[id]; r != nil {
+		if r := c.host.Relay(id); r != nil {
 			r.RemoveHop(c.id)
 		}
 	}
@@ -446,19 +496,22 @@ func (c *Circuit) BuiltAt() sim.Time { return c.builtAt }
 func (c *Circuit) ClosedAt() sim.Time { return c.closedAt }
 
 // Lifetime returns how long the circuit has been alive: ClosedAt −
-// BuiltAt once torn down, now − BuiltAt while still up.
+// BuiltAt once torn down, now − BuiltAt while still up (both read on
+// the source's clock).
 func (c *Circuit) Lifetime() time.Duration {
 	if c.closed {
 		return c.closedAt.Sub(c.builtAt)
 	}
-	return c.network.Now().Sub(c.builtAt)
+	return c.srcNet.Now().Sub(c.builtAt)
 }
 
 // Relays returns the circuit's relay path, first hop first. The slice
 // is shared; callers must not modify it.
 func (c *Circuit) Relays() []netem.NodeID { return c.spec.Relays }
 
-// Done reports whether the current transfer has completed.
+// Done reports whether the current transfer has completed. On a
+// ShardedNetwork read it at barriers only: the completing shard writes
+// it mid-window.
 func (c *Circuit) Done() bool { return c.done }
 
 // TTLB returns the most recent transfer's time-to-last-byte. ok is

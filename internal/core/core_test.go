@@ -100,7 +100,7 @@ func TestAutoCircuitIDs(t *testing.T) {
 
 func TestTransferDeliversAllBytes(t *testing.T) {
 	_, c := threeHopNet(t, 1, units.Mbps(8), units.Mbps(100), TransportOptions{})
-	n := c.network
+	n := c.srcNet
 
 	size := 200 * units.Kilobyte
 	var got time.Duration
@@ -143,7 +143,7 @@ func TestCircuitStartConvergesOntoModelWindow(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, c := threeHopNet(t, tc.bottleneck, units.Mbps(8), units.Mbps(100), TransportOptions{})
-			n := c.network
+			n := c.srcNet
 			c.Transfer(2*units.Megabyte, nil)
 			n.RunUntil(3 * sim.Second)
 
@@ -172,7 +172,7 @@ func TestBackpropagationOfBottleneckWindow(t *testing.T) {
 	// window should converge to roughly the same (bottleneck) value:
 	// "this continues until the source is reached".
 	_, c := threeHopNet(t, 2, units.Mbps(8), units.Mbps(100), TransportOptions{})
-	n := c.network
+	n := c.srcNet
 	c.Transfer(2*units.Megabyte, nil)
 	n.RunUntil(3 * sim.Second)
 
@@ -207,7 +207,7 @@ func TestFixedWindowBaseline(t *testing.T) {
 	_, c := threeHopNet(t, 1, units.Mbps(8), units.Mbps(100), TransportOptions{
 		Policy: "fixed", FixedWindow: 10,
 	})
-	n := c.network
+	n := c.srcNet
 	c.Transfer(100*units.Kilobyte, nil)
 	n.RunUntil(30 * sim.Second)
 	if !c.Done() {
@@ -231,7 +231,7 @@ func TestCircuitStartBeatsPlainBackTap(t *testing.T) {
 	run := func(policy string) time.Duration {
 		_, c := threeHopNet(t, 2, units.Mbps(16), units.Mbps(100), TransportOptions{Policy: policy})
 		c.Transfer(300*units.Kilobyte, nil)
-		c.network.RunUntil(60 * sim.Second)
+		c.srcNet.RunUntil(60 * sim.Second)
 		if !c.Done() {
 			t.Fatalf("%s transfer incomplete", policy)
 		}
@@ -255,7 +255,7 @@ func TestCircuitStartLessAggressiveThanClassicSlowStart(t *testing.T) {
 	peak := func(policy string) (overshoot, exitErr float64) {
 		_, c := threeHopNet(t, 2, units.Mbps(6), units.Mbps(100), TransportOptions{Policy: policy})
 		c.Transfer(2*units.Megabyte, nil)
-		c.network.RunUntil(2 * sim.Second)
+		c.srcNet.RunUntil(2 * sim.Second)
 		opt := c.ModelPath().OptimalSourceWindowCells()
 		st := c.SourceSender().Stats()
 		// Compare ramp-phase aggressiveness: the window peak up to the
@@ -286,7 +286,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() (time.Duration, float64) {
 		_, c := threeHopNet(t, 1, units.Mbps(8), units.Mbps(100), TransportOptions{})
 		c.Transfer(300*units.Kilobyte, nil)
-		c.network.RunUntil(30 * sim.Second)
+		c.srcNet.RunUntil(30 * sim.Second)
 		ttlb, ok := c.TTLB()
 		if !ok {
 			t.Fatal("incomplete")

@@ -59,10 +59,6 @@ func TestCircuitAcrossGraphFabric(t *testing.T) {
 		t.Errorf("fabric dropped frames: unknown=%d unroutable=%d",
 			gf.UnknownDst(), gf.Unroutable())
 	}
-	// The shim reports this is not a star.
-	if n.Star() != nil {
-		t.Error("Star() shim returned non-nil on a graph fabric")
-	}
 }
 
 func TestTrunkBottlenecksThroughput(t *testing.T) {

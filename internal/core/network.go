@@ -32,10 +32,8 @@ type Network struct {
 	fabric netem.Fabric
 	seed   int64
 
-	relays     map[netem.NodeID]*relay.Relay
-	identities map[netem.NodeID]*onion.Identity
-	lossRNG    *sim.RNG
-	keyRNG     *sim.RNG
+	relays  map[netem.NodeID]*relay.Relay
+	lossRNG *sim.RNG
 
 	// cellPool recycles cells between the consuming and producing
 	// endpoints of every circuit on this network (single-threaded on the
@@ -49,15 +47,51 @@ type Network struct {
 	// (circuits), nil for standalone networks.
 	ar *arena.Arena
 
-	nextAutoCirc uint32
+	// registry holds identities, the key stream and the live circuits
+	// (so a relay's resource manager can evict one network-wide).
+	registry
 
 	// relayCfg is the scheduling/limits template applied to every relay
-	// added after ConfigureRelays; circuits registers live circuits so a
-	// relay's resource manager can evict one network-wide, and onKill
-	// observes those evictions (scenario engines mark the transfer).
+	// added after ConfigureRelays; onKill observes resource-limit
+	// evictions (scenario engines mark the transfer).
 	relayCfg relay.Config
-	circuits map[cell.CircID]*Circuit
 	onKill   func(*Circuit)
+}
+
+// registry is the control-plane state circuit builds draw on: the
+// "onion-keys" stream, relay identities, the auto circuit-ID counter and
+// the live-circuit table. A Network owns one; a ShardedNetwork owns one
+// for all of its shards, so keys are drawn in one global order.
+type registry struct {
+	keyRNG       *sim.RNG
+	identities   map[netem.NodeID]*onion.Identity
+	nextAutoCirc uint32
+	circuits     map[cell.CircID]*Circuit
+}
+
+func newRegistry(seed int64) registry {
+	return registry{
+		keyRNG:     sim.NewRNG(seed, "onion-keys"),
+		identities: make(map[netem.NodeID]*onion.Identity),
+		circuits:   make(map[cell.CircID]*Circuit),
+	}
+}
+
+// host is the network relays and circuits are built on: one Network, or
+// a ShardedNetwork whose nodes live on different shards. The two differ
+// only in which network owns a node and which registry records it.
+type host interface {
+	reg() *registry
+	// netOf returns the network that owns (or will own) node id.
+	netOf(id netem.NodeID) *Network
+	Relay(id netem.NodeID) *relay.Relay
+	pathTransits(a, b netem.NodeID) []*netem.Link
+}
+
+func (n *Network) reg() *registry              { return &n.registry }
+func (n *Network) netOf(netem.NodeID) *Network { return n }
+func (n *Network) pathTransits(a, b netem.NodeID) []*netem.Link {
+	return n.fabric.PathTransits(a, b)
 }
 
 // FabricBuilder constructs a network's topology substrate on its clock.
@@ -127,17 +161,15 @@ func newNetwork(ar *arena.Arena, seed int64, build FabricBuilder) *Network {
 		}
 	})
 	return &Network{
-		clock:      clock,
-		fabric:     fab,
-		seed:       seed,
-		relays:     make(map[netem.NodeID]*relay.Relay),
-		identities: make(map[netem.NodeID]*onion.Identity),
-		lossRNG:    lossRNG,
-		keyRNG:     sim.NewRNG(seed, "onion-keys"),
-		cellPool:   cellPool,
-		segPool:    segPool,
-		ar:         ar,
-		circuits:   make(map[cell.CircID]*Circuit),
+		clock:    clock,
+		fabric:   fab,
+		seed:     seed,
+		relays:   make(map[netem.NodeID]*relay.Relay),
+		lossRNG:  lossRNG,
+		cellPool: cellPool,
+		segPool:  segPool,
+		ar:       ar,
+		registry: newRegistry(seed),
 	}
 }
 
@@ -211,18 +243,6 @@ func (n *Network) Clock() *sim.Clock { return n.clock }
 // capacity events and routing diagnostics).
 func (n *Network) Fabric() netem.Fabric { return n.fabric }
 
-// Star is a compatibility shim for pre-Fabric callers: it returns the
-// underlying StarFabric, or nil when the network runs on a different
-// fabric.
-//
-// Deprecated: use Fabric() and type-assert to *netem.StarFabric when
-// star-only diagnostics are required. The shim survives only for the
-// pre-Fabric call sites pinned by fabric_test.go.
-func (n *Network) Star() *netem.Star {
-	s, _ := n.fabric.(*netem.StarFabric)
-	return s
-}
-
 // Seed returns the experiment seed the network was created with.
 func (n *Network) Seed() int64 { return n.seed }
 
@@ -239,20 +259,28 @@ func (n *Network) RunUntil(horizon sim.Time) sim.Time { return n.clock.RunUntil(
 // AddRelay attaches a relay node with the given access parameters and
 // generates its onion identity. Adding the same ID twice is an error.
 func (n *Network) AddRelay(id netem.NodeID, access netem.AccessConfig) (*relay.Relay, error) {
-	if _, dup := n.relays[id]; dup {
+	return addRelay(n, id, access)
+}
+
+// addRelay attaches a relay on the network owning it, drawing its
+// identity from the host's key stream in call order.
+func addRelay(h host, id netem.NodeID, access netem.AccessConfig) (*relay.Relay, error) {
+	g := h.reg()
+	if _, dup := g.identities[id]; dup {
 		return nil, fmt.Errorf("core: relay %q already added", id)
 	}
-	ident, err := onion.NewIdentity(randReader{n.keyRNG})
+	ident, err := onion.NewIdentity(randReader{g.keyRNG})
 	if err != nil {
 		return nil, fmt.Errorf("core: relay %q identity: %w", id, err)
 	}
+	n := h.netOf(id)
 	r := relay.New(id, n.fabric, access, n.lossRNG)
 	r.UseSegmentPool(n.segPool)
 	if err := r.Configure(n.relayCfg, n.killCircuit); err != nil {
 		return nil, fmt.Errorf("core: relay %q: %w", id, err)
 	}
 	n.relays[id] = r
-	n.identities[id] = ident
+	g.identities[id] = ident
 	return r, nil
 }
 
@@ -268,6 +296,23 @@ func (n *Network) MustAddRelay(id netem.NodeID, access netem.AccessConfig) *rela
 
 // Relay returns an attached relay, or nil.
 func (n *Network) Relay(id netem.NodeID) *relay.Relay { return n.relays[id] }
+
+// RelayClock returns the clock relay id's events run on: the network's
+// only clock.
+func (n *Network) RelayClock(netem.NodeID) *sim.Clock { return n.clock }
+
+// Trunk returns the directed backbone trunk a → b, or nil on a star or
+// when the fabric has no such trunk.
+func (n *Network) Trunk(a, b netem.SwitchID) *netem.Link {
+	if gf, ok := n.fabric.(*netem.GraphFabric); ok {
+		return gf.Trunk(a, b)
+	}
+	return nil
+}
+
+// TrunkClock returns the clock a trunk's events run on: the network's
+// only clock.
+func (n *Network) TrunkClock(a, b netem.SwitchID) *sim.Clock { return n.clock }
 
 // randReader adapts a deterministic RNG stream to io.Reader for key
 // generation, keeping circuit builds reproducible across runs.

@@ -18,7 +18,7 @@ import (
 // cells like the real relay chain would.
 type backRig struct {
 	clock  *sim.Clock
-	star   *netem.Star
+	star   *netem.StarFabric
 	source *Source
 	rk     []*onion.HopKeys // relay-side keys, guard first
 	relay  *netem.Port
@@ -29,7 +29,7 @@ type backRig struct {
 func newBackRig(t *testing.T, hops int) *backRig {
 	t.Helper()
 	rig := &backRig{clock: sim.NewClock()}
-	rig.star = netem.NewStar(rig.clock)
+	rig.star = netem.NewStarFabric(rig.clock)
 	access := netem.Symmetric(units.Mbps(50), time.Millisecond, 0)
 
 	rnd := &fixedRand{}
@@ -132,7 +132,7 @@ func TestSourceDownloadCountsBadCells(t *testing.T) {
 
 func TestSinkSendBackwardPacketizes(t *testing.T) {
 	clock := sim.NewClock()
-	star := netem.NewStar(clock)
+	star := netem.NewStarFabric(clock)
 	access := netem.Symmetric(units.Mbps(50), time.Millisecond, 0)
 
 	var datas []transport.Segment
@@ -165,7 +165,7 @@ func TestSinkSendBackwardPacketizes(t *testing.T) {
 
 func TestSinkSendBackwardPanicsOnZero(t *testing.T) {
 	clock := sim.NewClock()
-	star := netem.NewStar(clock)
+	star := netem.NewStarFabric(clock)
 	access := netem.Symmetric(units.Mbps(50), time.Millisecond, 0)
 	star.Attach("exit", access, netem.HandlerFunc(func(*netem.Frame) {}), nil)
 	k := NewSink("server", star, access, 1, "exit", transport.Config{}, nil)

@@ -168,13 +168,14 @@ func TestExcludedWith(t *testing.T) {
 	if got := inj.ExcludedWith(base); len(got) != 1 || !got["dead"] {
 		t.Fatalf("nil injector ExcludedWith = %v", got)
 	}
-	inj = &Injector{suspect: map[netem.NodeID]int{}}
+	hung := 0
+	inj = &Injector{suspect: map[netem.NodeID]*int{"hung": &hung}}
 	// No suspects: the base map must come back untouched (same map, no
 	// copy) so the fault-free path allocates nothing.
 	if got := inj.ExcludedWith(base); len(got) != 1 {
 		t.Fatalf("ExcludedWith with no suspects = %v", got)
 	}
-	inj.suspect["hung"] = 1
+	hung = 1
 	got := inj.ExcludedWith(base)
 	if !got["dead"] || !got["hung"] {
 		t.Fatalf("merged exclusion = %v", got)

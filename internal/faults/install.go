@@ -10,54 +10,74 @@ import (
 	"circuitstart/internal/units"
 )
 
-// Network is the slice of the simulation the injector needs: the trial
-// clock to schedule on, relays to degrade, and the fabric whose links it
-// conditions. core.Network satisfies it; tests can stub it.
+// Network is the slice of the simulation the injector needs: the
+// relays to degrade, the trunks to partition, and the clock owning each
+// of them. On one clock every target answers with the same clock; on a
+// sharded simulation a relay's access links live on the relay's shard
+// and each trunk direction on the shard owning its source switch.
+// core.Network and core.ShardedNetwork satisfy it; tests can stub it.
 type Network interface {
-	Clock() *sim.Clock
 	Relay(id netem.NodeID) *relay.Relay
-	Fabric() netem.Fabric
+	RelayClock(id netem.NodeID) *sim.Clock
+	Trunk(a, b netem.SwitchID) *netem.Link
+	TrunkClock(a, b netem.SwitchID) *sim.Clock
 }
 
 // Injector is an installed fault plan: every episode is compiled onto
-// the trial clock, and the set of currently-faulted relays is tracked so
-// recovery path selection can route around live failures.
+// the clock owning its target, and the set of currently-faulted relays
+// is tracked so recovery path selection can route around live failures.
 type Injector struct {
 	plan Plan
 	// suspect refcounts relays currently inside a fault episode (down,
-	// hung, or slowed). Overlapping episodes on one relay nest.
-	suspect map[netem.NodeID]int
+	// hung, or slowed); overlapping episodes on one relay nest. The map
+	// is complete at install time and never written again: each counter
+	// is written only by its relay's episodes, which all run on the
+	// relay's clock, so a sharded trial has one writer per counter.
+	suspect map[netem.NodeID]*int
 }
 
-// Install compiles the plan onto n's clock. Call it after the topology
-// is built (relays attached, trunks wired) and before RunUntil; episodes
-// whose start instant is not in the future take effect immediately.
-// seed is the trial seed — each fault entry derives its own named RNG
-// streams from it, so draws never cross between entries.
+// Install compiles the plan onto the network, each episode on the clock
+// owning its target. Call it after the topology is built (relays
+// attached, trunks wired) and before the clocks run; episodes whose
+// start instant is not in the future take effect immediately. seed is
+// the trial seed — each fault entry derives its own named RNG streams
+// from it, so draws never cross between entries, and a faulted trial is
+// byte-identical at every shard count.
 //
 // The plan must have passed Validate against this topology; Install
 // panics on targets the topology does not have.
 func Install(n Network, p Plan, seed int64) *Injector {
-	inj := &Injector{plan: p, suspect: make(map[netem.NodeID]int)}
-	clock := n.Clock()
-	at := func(t sim.Time, fn func()) {
-		if t.After(clock.Now()) {
-			clock.At(t, fn)
+	inj := &Injector{plan: p, suspect: make(map[netem.NodeID]*int)}
+	at := func(clk *sim.Clock, t sim.Time, fn func()) {
+		if t.After(clk.Now()) {
+			clk.At(t, fn)
 			return
 		}
 		fn()
 	}
-	links := func(id netem.NodeID) (up, down *netem.Link) {
-		r := n.Relay(id)
-		if r == nil {
+	relayOf := func(id netem.NodeID) (*relay.Relay, *sim.Clock) {
+		r, clk := n.Relay(id), n.RelayClock(id)
+		if r == nil || clk == nil {
 			panic(fmt.Sprintf("faults: plan targets unknown relay %q", id))
 		}
+		return r, clk
+	}
+	links := func(id netem.NodeID) (clk *sim.Clock, up, down *netem.Link) {
+		r, clk := relayOf(id)
 		port := r.Port()
-		return port.Uplink(), port.Downlink()
+		return clk, port.Uplink(), port.Downlink()
+	}
+	suspect := func(id netem.NodeID) *int {
+		c := inj.suspect[id]
+		if c == nil {
+			c = new(int)
+			inj.suspect[id] = c
+		}
+		return c
 	}
 
 	for i, b := range p.BurstLoss {
-		up, down := links(b.Relay)
+		clk, up, down := links(b.Relay)
 		mUp := &netem.GilbertElliott{
 			PGoodBad: b.PGoodBad, PBadGood: b.PBadGood,
 			LossGood: b.LossGood, LossBad: b.LossBad,
@@ -68,12 +88,12 @@ func Install(n Network, p Plan, seed int64) *Injector {
 			LossGood: b.LossGood, LossBad: b.LossBad,
 			RNG: sim.NewRNG(seed, fmt.Sprintf("fault-burstloss/%d/down", i)),
 		}
-		at(b.From, func() {
+		at(clk, b.From, func() {
 			up.SetLossModel(mUp)
 			down.SetLossModel(mDown)
 		})
 		if b.Until != 0 {
-			at(b.Until, func() {
+			at(clk, b.Until, func() {
 				up.SetLossModel(nil)
 				down.SetLossModel(nil)
 			})
@@ -81,7 +101,7 @@ func Install(n Network, p Plan, seed int64) *Injector {
 	}
 
 	for i, j := range p.Jitter {
-		up, down := links(j.Relay)
+		clk, up, down := links(j.Relay)
 		mUp := &netem.UniformJitter{
 			Amplitude: j.Amplitude, SpikeProb: j.SpikeProb, SpikeDelay: j.SpikeDelay,
 			RNG: sim.NewRNG(seed, fmt.Sprintf("fault-jitter/%d/up", i)),
@@ -90,12 +110,12 @@ func Install(n Network, p Plan, seed int64) *Injector {
 			Amplitude: j.Amplitude, SpikeProb: j.SpikeProb, SpikeDelay: j.SpikeDelay,
 			RNG: sim.NewRNG(seed, fmt.Sprintf("fault-jitter/%d/down", i)),
 		}
-		at(j.From, func() {
+		at(clk, j.From, func() {
 			up.SetJitter(mUp)
 			down.SetJitter(mDown)
 		})
 		if j.Until != 0 {
-			at(j.Until, func() {
+			at(clk, j.Until, func() {
 				up.SetJitter(nil)
 				down.SetJitter(nil)
 			})
@@ -103,78 +123,69 @@ func Install(n Network, p Plan, seed int64) *Injector {
 	}
 
 	for _, f := range p.Flaps {
-		f := f
-		up, down := links(f.Relay)
+		clk, up, down := links(f.Relay)
+		cnt := suspect(f.Relay)
 		for i := 0; i <= f.Repeat; i++ {
 			downAt := f.DownAt.Add(time.Duration(i) * f.Every)
-			at(downAt, func() {
+			at(clk, downAt, func() {
 				up.SetDown(true)
 				down.SetDown(true)
-				inj.suspect[f.Relay]++
+				*cnt++
 			})
-			at(downAt.Add(f.UpAfter), func() {
+			at(clk, downAt.Add(f.UpAfter), func() {
 				up.SetDown(false)
 				down.SetDown(false)
-				inj.suspect[f.Relay]--
+				*cnt--
 			})
 		}
 	}
 
-	if len(p.Partitions) > 0 {
-		gf, ok := n.Fabric().(*netem.GraphFabric)
-		if !ok {
-			panic("faults: plan partitions a fabric without trunks")
+	for _, pt := range p.Partitions {
+		// The two directions of a trunk may live on different shards;
+		// each goes down on its owner's clock at the same instant.
+		ab, ba := n.Trunk(pt.TrunkA, pt.TrunkB), n.Trunk(pt.TrunkB, pt.TrunkA)
+		if ab == nil || ba == nil {
+			panic(fmt.Sprintf("faults: plan partitions unknown trunk %q-%q", pt.TrunkA, pt.TrunkB))
 		}
-		for _, pt := range p.Partitions {
-			ab, ba := gf.Trunk(pt.TrunkA, pt.TrunkB), gf.Trunk(pt.TrunkB, pt.TrunkA)
-			if ab == nil || ba == nil {
-				panic(fmt.Sprintf("faults: plan partitions unknown trunk %q-%q", pt.TrunkA, pt.TrunkB))
-			}
-			at(pt.At, func() {
-				ab.SetDown(true)
-				ba.SetDown(true)
-			})
-			if pt.HealAfter > 0 {
-				at(pt.At.Add(pt.HealAfter), func() {
-					ab.SetDown(false)
-					ba.SetDown(false)
-				})
-			}
+		clkAB, clkBA := n.TrunkClock(pt.TrunkA, pt.TrunkB), n.TrunkClock(pt.TrunkB, pt.TrunkA)
+		at(clkAB, pt.At, func() { ab.SetDown(true) })
+		at(clkBA, pt.At, func() { ba.SetDown(true) })
+		if pt.HealAfter > 0 {
+			at(clkAB, pt.At.Add(pt.HealAfter), func() { ab.SetDown(false) })
+			at(clkBA, pt.At.Add(pt.HealAfter), func() { ba.SetDown(false) })
 		}
 	}
 
 	for _, d := range p.Degrades {
 		d := d
+		cnt := suspect(d.Relay)
 		switch d.Mode {
 		case DegradeHang:
-			r := n.Relay(d.Relay)
-			if r == nil {
-				panic(fmt.Sprintf("faults: plan targets unknown relay %q", d.Relay))
-			}
-			at(d.At, func() {
+			r, clk := relayOf(d.Relay)
+			at(clk, d.At, func() {
 				r.Hang()
-				inj.suspect[d.Relay]++
+				*cnt++
 			})
 			if d.RecoverAfter > 0 {
-				at(d.At.Add(d.RecoverAfter), func() {
+				at(clk, d.At.Add(d.RecoverAfter), func() {
 					r.Unhang()
-					inj.suspect[d.Relay]--
+					*cnt--
 				})
 			}
 		case DegradeSlow:
-			up, down := links(d.Relay)
-			at(d.At, func() {
+			clk, up, down := links(d.Relay)
+			at(clk, d.At, func() {
 				up.SetRate(units.DataRate(float64(up.Config().Rate) * d.RateFactor))
 				down.SetRate(units.DataRate(float64(down.Config().Rate) * d.RateFactor))
-				inj.suspect[d.Relay]++
+				*cnt++
 			})
 			if d.RecoverAfter > 0 {
-				at(d.At.Add(d.RecoverAfter), func() {
+				at(clk, d.At.Add(d.RecoverAfter), func() {
 					// Divide the live rate rather than restoring a snapshot
 					// so a LinkEvent rate change during the episode survives.
 					up.SetRate(units.DataRate(float64(up.Config().Rate) / d.RateFactor))
 					down.SetRate(units.DataRate(float64(down.Config().Rate) / d.RateFactor))
-					inj.suspect[d.Relay]--
+					*cnt--
 				})
 			}
 		}
@@ -188,7 +199,11 @@ func (inj *Injector) Plan() Plan { return inj.plan }
 // Suspected reports whether the relay is currently inside a fault
 // episode the injector tracks (flapped down, hung, or slowed).
 func (inj *Injector) Suspected(id netem.NodeID) bool {
-	return inj != nil && inj.suspect[id] > 0
+	if inj == nil {
+		return false
+	}
+	c := inj.suspect[id]
+	return c != nil && *c > 0
 }
 
 // ExcludedWith merges the currently-suspected relays into base, the
@@ -201,7 +216,7 @@ func (inj *Injector) ExcludedWith(base map[netem.NodeID]bool) map[netem.NodeID]b
 	}
 	n := 0
 	for _, c := range inj.suspect {
-		if c > 0 {
+		if *c > 0 {
 			n++
 		}
 	}
@@ -215,7 +230,7 @@ func (inj *Injector) ExcludedWith(base map[netem.NodeID]bool) map[netem.NodeID]b
 		}
 	}
 	for id, c := range inj.suspect {
-		if c > 0 {
+		if *c > 0 {
 			m[id] = true
 		}
 	}

@@ -96,7 +96,7 @@ func TestPriorityCountsAgainstQueueCap(t *testing.T) {
 
 func TestSendPriorityTraversesStar(t *testing.T) {
 	clock := sim.NewClock()
-	star := NewStar(clock)
+	star := NewStarFabric(clock)
 	colA := &collector{clock: clock}
 	colB := &collector{clock: clock}
 	pa := star.Attach("a", Symmetric(units.Mbps(1), time.Millisecond, 0), colA, nil)

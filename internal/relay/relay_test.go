@@ -17,7 +17,7 @@ import (
 // asserted in isolation.
 type testRig struct {
 	clock *sim.Clock
-	star  *netem.Star
+	star  *netem.StarFabric
 	relay *Relay
 
 	srcGot   []transport.Segment // control arriving back at the source node
@@ -31,7 +31,7 @@ type testRig struct {
 func newTestRig(t *testing.T) *testRig {
 	t.Helper()
 	clock := sim.NewClock()
-	star := netem.NewStar(clock)
+	star := netem.NewStarFabric(clock)
 	rig := &testRig{clock: clock, star: star}
 
 	access := netem.Symmetric(units.Mbps(50), time.Millisecond, 0)

@@ -21,8 +21,7 @@ import (
 // downloads arrive over freshly built circuits mid-run, completed
 // circuits are torn down (their cell and timer state released back to
 // the pools), and initial circuits can be killed on a schedule. The
-// zero value disables churn and preserves the static execution path
-// byte for byte.
+// zero value disables churn: circuits then live to the end of the trial.
 type CircuitEvents struct {
 	// ArrivalRate, when positive, adds an open-loop Poisson process of
 	// new downloads (mean arrivals per second, stream
@@ -38,8 +37,8 @@ type CircuitEvents struct {
 	// before teardown (0 = torn down at the completion instant). With
 	// churn active this applies to every download, initial or arrived.
 	// Setting it alone (no arrivals, no scheduled teardowns) still
-	// enables the lifecycle engine: every circuit is torn down after
-	// its download completes.
+	// enables churn: every circuit is torn down after its download
+	// completes.
 	TeardownDelay time.Duration
 	// Teardowns schedules hard teardowns of initial circuits: the
 	// circuit is closed at the given instant regardless of transfer
@@ -81,8 +80,8 @@ type RelayEvent struct {
 }
 
 // hasChurn reports whether the scenario exercises the dynamic circuit
-// lifecycle at all. When false, trials run the exact pre-churn
-// execution path, preserving seeded outputs byte for byte.
+// lifecycle at all. When false, circuits stay up after their download,
+// the clock stops at the last finish, and the trial reports no churn.
 func (sc *Scenario) hasChurn() bool {
 	return sc.CircuitEvents.enabled() || len(sc.RelayEvents) > 0 || sc.Faults.Enabled()
 }
@@ -164,6 +163,7 @@ type download struct {
 	aborted  bool
 	killed   bool // evicted by a relay's resource manager
 	rejected bool // refused at circuit admission
+	settled  bool // counted toward the churn-free early stop
 	ttlb     time.Duration
 	rebuild  int
 
@@ -179,16 +179,22 @@ type download struct {
 	delivered    units.DataSize // bytes banked from discarded circuits
 }
 
-// churnEngine drives one trial's dynamic circuit lifecycle on a single
-// network/clock, so everything it does is deterministic regardless of
-// the worker pool running the trial.
+// churnEngine drives one trial on a single network/clock — churn-free
+// trials and the dynamic circuit lifecycle alike — so everything it does
+// is deterministic regardless of the worker pool running the trial.
 type churnEngine struct {
-	sc     Scenario
-	arm    Arm
-	n      *core.Network
-	cons   *directory.Consensus // nil on explicit topologies
-	access netem.AccessConfig
-	seed   int64
+	sc      Scenario
+	arm     Arm
+	n       *core.Network
+	cons    *directory.Consensus // nil on explicit topologies
+	access  netem.AccessConfig
+	seed    int64
+	churnOn bool
+
+	// unsettled counts the churn-free trial's initial circuits that
+	// have not yet completed, been killed or been evicted; the clock
+	// stops when it reaches zero (unless RunFullHorizon).
+	unsettled int
 
 	pathRNG   *sim.RNG // churn-arrival and rebuild path sampling
 	downloads []*download
@@ -214,15 +220,31 @@ func (e *churnEngine) newDownload(index int) *download {
 	return &download{index: index}
 }
 
-// runChurn executes one trial with the dynamic circuit lifecycle:
-// initial circuits start per the arrival process exactly as in the
-// static path (same RNG streams), then churn arrivals, scheduled
-// teardowns and relay failure/recovery play out on the trial's clock.
+// runChurn executes one single-clock trial: initial circuits start per
+// the arrival process, then churn arrivals, scheduled teardowns, relay
+// failure/recovery and fault recovery play out on the trial's clock.
 func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]CircuitOutcome, NetStats, ChurnStats, ResilienceStats, error) {
+	e, err := newChurnEngine(sc, arm, seed, ar)
+	if err != nil {
+		return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
+	}
+	e.n.RunUntil(sc.Horizon)
+	out := e.collect(rep)
+	net := netStats(e.n.Fabric(), e.n.ResourceStats(), e.n.SchedDrops())
+	if !e.churnOn {
+		return out, net, ChurnStats{}, e.resil, nil
+	}
+	return out, net, e.churn, e.resil, nil
+}
+
+// newChurnEngine builds one trial's network and initial circuits and
+// schedules everything the trial will do; running the clock plays it.
+func newChurnEngine(sc Scenario, arm Arm, seed int64, ar *arena.Arena) (*churnEngine, error) {
 	e := &churnEngine{
 		sc:      sc,
 		arm:     arm,
 		seed:    seed,
+		churnOn: sc.hasChurn(),
 		pathRNG: sim.NewRNG(seed, "scenario-churn-paths"),
 		failed:  make(map[netem.NodeID]bool),
 	}
@@ -237,16 +259,19 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 	if sc.Topology.Population != nil {
 		wsc, err := workload.Build(seed, workloadParams(sc, arm, ar))
 		if err != nil {
-			return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
+			return nil, err
 		}
 		e.n, e.cons, initial = wsc.Network, wsc.Consensus, wsc.Circuits
 		e.access = wsc.Params.ClientAccess
 	} else {
-		n, circuits, access, err := buildExplicit(sc, arm, seed, ar)
+		n, err := workload.NewNetwork(seed, sc.Topology.Fabric, ar, sc.TrainSize)
 		if err != nil {
-			return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
+			return nil, err
 		}
-		e.n, initial, e.access = n, circuits, access
+		e.n = n
+		if initial, e.access, err = populateExplicit(n, sc, arm); err != nil {
+			return nil, err
+		}
 	}
 	scheduleEvents(e.n, sc.Events)
 	e.watchKills()
@@ -258,15 +283,10 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 		e.resil.TTR = newTTRDist(arm.Name)
 	}
 
-	// Initial downloads follow the scenario's declared arrival process,
-	// drawn from the runner's own streams ("scenario-starts" /
-	// "scenario-arrivals"). Note this is not byte-compatible with the
-	// static generated-population path, whose together/uniform arrivals
-	// go through workload.Scenario.Run and its "workload-starts" stream
-	// — enabling churn is allowed to change the realized start times.
+	// Initial downloads follow the scenario's declared arrival process.
 	// A nil slot is a circuit refused at admission by a resource-limited
 	// relay; its download is recorded as rejected and never starts.
-	delays := arrivalDelays(seed, sc.Circuits, len(initial))
+	delays := arrivalDelays(&sc, seed, len(initial))
 	for i, c := range initial {
 		d := e.newDownload(i)
 		d.circuit = c
@@ -278,14 +298,15 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 			continue
 		}
 		e.churn.Built++
+		e.unsettled++
 		if c.Closed() {
 			// Evicted at build time (admission kill), before the kill
-			// observer was installed — account the lifecycle here.
+			// observer was installed — account the lifecycle here. Its
+			// start still fires, to settle it at its would-be start.
 			d.aborted, d.killed = true, true
 			e.churn.Aborted++
 			e.churn.TornDown++
 			e.churn.Lifetime.Add(c.Lifetime().Seconds())
-			continue
 		}
 		e.scheduleStart(d, delays[i])
 	}
@@ -311,12 +332,24 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 		ev := ev
 		e.n.Clock().At(ev.At, func() { e.relayEvent(ev) })
 	}
+	// With churn on there is no Stop(): teardown releases every timer,
+	// so the queue drains on its own once the last download finishes
+	// (or the horizon cuts a stalled one off).
+	return e, nil
+}
 
-	// No Stop(): teardown releases every timer, so the queue drains on
-	// its own once the last download finishes (or the horizon cuts a
-	// stalled one off).
-	e.n.RunUntil(sc.Horizon)
-	return e.collect(rep), netStats(e.n), e.churn, e.resil, nil
+// settle counts initial download d out of a churn-free trial's early
+// stop: once every initial circuit has completed, been killed or been
+// evicted, the clock stops, unless the trial runs its full horizon.
+func (e *churnEngine) settle(d *download) {
+	if e.churnOn || d.settled {
+		return
+	}
+	d.settled = true
+	e.unsettled--
+	if e.unsettled == 0 && !e.sc.RunFullHorizon {
+		e.n.Clock().Stop()
+	}
 }
 
 // scheduleStart arms download d's first transfer start after delay. A
@@ -327,6 +360,7 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 func (e *churnEngine) scheduleStart(d *download, delay time.Duration) {
 	start := func() {
 		if d.started || d.aborted || d.circuit.Closed() {
+			e.settle(d)
 			return
 		}
 		d.started = true
@@ -365,12 +399,16 @@ func (e *churnEngine) startTransfer(d *download) {
 func (e *churnEngine) watchKills() {
 	e.n.OnKill(func(c *core.Circuit) {
 		for _, d := range e.downloads {
-			if d.circuit == c && !d.done && !d.aborted {
+			if d.circuit != c {
+				continue
+			}
+			if !d.done && !d.aborted {
 				d.aborted, d.killed = true, true
 				e.churn.Aborted++
 				e.endActive(d)
-				break
 			}
+			e.settle(d)
+			break
 		}
 		e.churn.TornDown++
 		e.churn.Lifetime.Add(c.Lifetime().Seconds())
@@ -427,20 +465,11 @@ func (e *churnEngine) buildFresh(d *download) bool {
 // failures plus fault-suspect relays). On success the circuit is
 // installed and counted; the caller owns failure accounting.
 func (e *churnEngine) buildOn(d *download, rng *sim.RNG, excl map[netem.NodeID]bool) error {
-	var path []netem.NodeID
-	if e.cons != nil {
-		descs, err := e.cons.SelectPathExcluding(rng, e.hops(), excl)
-		if err != nil {
-			return err
-		}
-		path = make([]netem.NodeID, len(descs))
-		for i, dd := range descs {
-			path[i] = dd.ID
-		}
-	} else {
-		path = e.sc.Circuits.path(d.index % len(e.sc.Circuits.Paths))
+	path, err := pathFor(e.sc, e.cons, rng, excl, d.index)
+	if err != nil {
+		return err
 	}
-	c, err := e.buildCircuit(d, path)
+	c, err := e.n.BuildCircuit(circuitSpec(e.sc, e.arm, e.access, d.index, d.rebuild, path))
 	if err != nil {
 		return err
 	}
@@ -449,37 +478,9 @@ func (e *churnEngine) buildOn(d *download, rng *sim.RNG, excl map[netem.NodeID]b
 	return nil
 }
 
-// hops returns the sampled path length on generated topologies.
-func (e *churnEngine) hops() int {
-	if e.sc.Circuits.Hops > 0 {
-		return e.sc.Circuits.Hops
-	}
-	return 3
-}
-
-// buildCircuit builds a circuit for download d over the given relay
-// path. Rebuilds get distinct endpoint node IDs (ports cannot be
-// re-attached), marked with the rebuild ordinal.
-func (e *churnEngine) buildCircuit(d *download, path []netem.NodeID) (*core.Circuit, error) {
-	source := fmt.Sprintf("client-%03d", d.index)
-	sink := fmt.Sprintf("server-%03d", d.index)
-	if d.rebuild > 0 {
-		source = fmt.Sprintf("%s.r%d", source, d.rebuild)
-		sink = fmt.Sprintf("%s.r%d", sink, d.rebuild)
-	}
-	return e.n.BuildCircuit(core.CircuitSpec{
-		Source:       netem.NodeID(source),
-		Sink:         netem.NodeID(sink),
-		SourceAccess: e.access,
-		SinkAccess:   e.access,
-		Relays:       path,
-		Transport:    e.arm.Transport,
-		TraceCwnd:    e.sc.Probes.TraceCwnd,
-	})
-}
-
-// complete records download d's completion and schedules its circuit's
-// teardown after the configured linger.
+// complete records download d's completion. With churn on it schedules
+// the circuit's teardown after the configured linger; a churn-free
+// circuit stays up and only settles toward the early stop.
 func (e *churnEngine) complete(d *download) {
 	d.done = true
 	d.ttlb = e.n.Now().Sub(d.startAt)
@@ -490,6 +491,10 @@ func (e *churnEngine) complete(d *download) {
 			e.recordRecovery(d)
 		}
 		e.endActive(d)
+	}
+	if !e.churnOn {
+		e.settle(d)
+		return
 	}
 	circ := d.circuit
 	if delay := e.sc.CircuitEvents.TeardownDelay; delay > 0 {
@@ -581,8 +586,10 @@ func crossesRelay(c *core.Circuit, id netem.NodeID) bool {
 }
 
 // collect renders the engine's downloads into outcomes, in download
-// index order. Circuits still alive at the horizon are torn down here
-// so their lifetimes and pooled state are accounted too.
+// index order. With churn on, circuits still alive at the horizon are
+// torn down here so their lifetimes and pooled state are accounted too;
+// churn-free trials leave them standing and report no Aborted or
+// StartAt, which only churn scenarios define.
 func (e *churnEngine) collect(rep int) []CircuitOutcome {
 	out := make([]CircuitOutcome, len(e.downloads))
 	for i, d := range e.downloads {
@@ -597,8 +604,13 @@ func (e *churnEngine) collect(rep int) []CircuitOutcome {
 			StartAt:     d.startAt,
 			Rebuilds:    d.rebuild,
 		}
+		if !e.churnOn {
+			o.Aborted, o.StartAt = false, 0
+		}
 		if d.circuit != nil {
-			e.teardown(d.circuit)
+			if e.churnOn {
+				e.teardown(d.circuit)
+			}
 			o.OptimalCells = d.circuit.ModelPath().OptimalSourceWindowCells()
 			st := d.circuit.SourceSender().Stats()
 			o.ExitCwnd, o.ExitTime, o.Restarts = st.ExitCwnd, st.ExitTime, st.Restarts

@@ -144,9 +144,9 @@ func TestChurnRebuildPolicy(t *testing.T) {
 }
 
 func TestChurnZeroValueKeepsStaticPath(t *testing.T) {
-	// A scenario whose churn fields are explicitly zero must take the
-	// original static execution path and produce the identical Result —
-	// the no-churn half of the adapter-equivalence guarantee.
+	// A scenario whose churn fields are explicitly zero must run
+	// churn-free and produce the identical Result — the no-churn half
+	// of the adapter-equivalence guarantee.
 	static := testScenario()
 	churnZero := testScenario()
 	churnZero.CircuitEvents = CircuitEvents{}
@@ -269,8 +269,8 @@ func TestChurnFailureBeforeStaggeredStart(t *testing.T) {
 
 // TestChurnTeardownDelayAloneEnablesLifecycle pins the CircuitEvents
 // zero-value boundary: TeardownDelay by itself must engage the
-// lifecycle engine (circuits torn down after completion), not be
-// silently ignored by the static path.
+// lifecycle (circuits torn down after completion), not be silently
+// ignored as churn-free.
 func TestChurnTeardownDelayAloneEnablesLifecycle(t *testing.T) {
 	sc := testScenario()
 	sc.Replications = 1

@@ -153,9 +153,8 @@ func TestFaultsRecoveryLifecycle(t *testing.T) {
 // the stall detector: on a trial that makes steady progress the
 // watchdogs only read state, so enabling recovery on a churn run with
 // no fault sources must leave every per-circuit outcome identical.
-// (The baseline itself uses the dynamic engine — a TeardownDelay alone
-// enables it — because a fault plan routes through that engine, not
-// the static path.)
+// (The baseline itself enables churn — a TeardownDelay alone does — so
+// both runs tear circuits down alike; a fault plan implies churn.)
 func TestRecoveryOnlyPlanPreservesOutcomes(t *testing.T) {
 	base := testScenario()
 	base.CircuitEvents.TeardownDelay = 10 * time.Millisecond

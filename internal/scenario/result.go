@@ -61,9 +61,9 @@ func (s *NetStats) merge(o NetStats) {
 }
 
 // ChurnStats aggregates one arm's circuit-lifecycle activity. It is
-// populated only by scenarios with churn configured (CircuitEvents or
-// RelayEvents); static scenarios leave it zero with a nil Lifetime, so
-// their rendered output is unchanged.
+// populated only by scenarios with churn configured (CircuitEvents,
+// RelayEvents or Faults); churn-free scenarios leave it zero with a nil
+// Lifetime, so their rendered output has no churn table.
 type ChurnStats struct {
 	// Built counts circuits built: initial, churn arrivals, rebuilds.
 	Built int
@@ -335,8 +335,7 @@ func (r *Result) WriteText(w io.Writer) error {
 }
 
 // writeChurn renders the per-arm circuit-lifecycle table. Scenarios
-// without churn have nil Lifetime distributions and emit nothing, so
-// pre-churn outputs are unchanged byte for byte.
+// without churn have nil Lifetime distributions and emit nothing.
 func (r *Result) writeChurn(w io.Writer) error {
 	hasChurn := false
 	for i := range r.Arms {
@@ -360,8 +359,7 @@ func (r *Result) writeChurn(w io.Writer) error {
 }
 
 // writeResilience renders the per-arm fault-recovery table. Scenarios
-// without Faults.Recovery have nil TTR distributions and emit nothing,
-// so pre-fault outputs are unchanged byte for byte.
+// without Faults.Recovery have nil TTR distributions and emit nothing.
 func (r *Result) writeResilience(w io.Writer) error {
 	enabled := false
 	for i := range r.Arms {

@@ -11,8 +11,10 @@ import (
 
 	"circuitstart/internal/arena"
 	"circuitstart/internal/core"
+	"circuitstart/internal/directory"
 	"circuitstart/internal/metrics"
 	"circuitstart/internal/netem"
+	"circuitstart/internal/resource"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
 	"circuitstart/internal/workload"
@@ -162,27 +164,21 @@ func trialSeed(seed int64, rep int) int64 {
 // panic in the simulator is converted into an error so one bad trial
 // fails the run cleanly instead of killing the worker pool. Scenarios
 // with Shards > 0 run on the sharded conservative-lookahead engine;
-// scenarios with churn run the dynamic-lifecycle engine; everything
-// else takes the original static path, unchanged byte for byte.
+// everything else runs on the single-clock lifecycle engine.
 func runTrial(sc Scenario, arm Arm, seed int64, rep int, ars []*arena.Arena) (out []CircuitOutcome, net NetStats, churn ChurnStats, resil ResilienceStats, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("scenario: arm %q rep %d panicked: %v", arm.Name, rep, p)
 		}
 	}()
-	var ar *arena.Arena
-	if len(ars) > 0 {
-		ar = ars[0]
-	}
-	switch {
-	case sc.Shards > 0:
+	if sc.Shards > 0 {
 		out, net, churn, resil, err = runSharded(sc, arm, seed, rep, ars)
-	case sc.hasChurn():
+	} else {
+		var ar *arena.Arena
+		if len(ars) > 0 {
+			ar = ars[0]
+		}
 		out, net, churn, resil, err = runChurn(sc, arm, seed, rep, ar)
-	case sc.Topology.Population != nil:
-		out, net, err = runGenerated(sc, arm, seed, rep, ar)
-	default:
-		out, net, err = runExplicit(sc, arm, seed, rep, ar)
 	}
 	if err != nil {
 		err = fmt.Errorf("scenario: arm %q rep %d: %w", arm.Name, rep, err)
@@ -190,15 +186,24 @@ func runTrial(sc Scenario, arm Arm, seed int64, rep int, ars []*arena.Arena) (ou
 	return out, net, churn, resil, err
 }
 
+// trunkFabric is the fabric accounting a trial reports: a single-clock
+// netem.Fabric, or a netem.ShardedFabric whose trunk list is in the
+// unsharded fabric's global order (so the per-trunk table renders
+// identically at every shard count).
+type trunkFabric interface {
+	UnknownDst() uint64
+	Unroutable() uint64
+	Trunks() []*netem.Link
+}
+
 // netStats snapshots the fabric and resource accounting after a trial
 // has run.
-func netStats(n *core.Network) NetStats {
-	fab := n.Fabric()
+func netStats(fab trunkFabric, res resource.Stats, schedDrops uint64) NetStats {
 	st := NetStats{
 		UnknownDst: fab.UnknownDst(),
 		Unroutable: fab.Unroutable(),
-		Resource:   n.ResourceStats(),
-		SchedDrops: n.SchedDrops(),
+		Resource:   res,
+		SchedDrops: schedDrops,
 	}
 	for _, l := range fab.Trunks() {
 		st.Trunks = append(st.Trunks, TrunkStat{Name: l.Name(), Stats: l.Stats()})
@@ -213,8 +218,7 @@ func scheduleEvents(n *core.Network, events []LinkEvent) {
 	for _, ev := range events {
 		rate := ev.Rate
 		if ev.trunk() {
-			gf := n.Fabric().(*netem.GraphFabric)
-			ab, ba := gf.Trunk(ev.TrunkA, ev.TrunkB), gf.Trunk(ev.TrunkB, ev.TrunkA)
+			ab, ba := n.Trunk(ev.TrunkA, ev.TrunkB), n.Trunk(ev.TrunkB, ev.TrunkA)
 			n.Clock().At(ev.At, func() {
 				ab.SetRate(rate)
 				ba.SetRate(rate)
@@ -230,15 +234,11 @@ func scheduleEvents(n *core.Network, events []LinkEvent) {
 }
 
 // workloadParams renders the scenario's generated-topology trial into
-// workload.ScenarioParams (shared by the static and churn paths).
+// workload.ScenarioParams (shared by both engines).
 func workloadParams(sc Scenario, arm Arm, ar *arena.Arena) workload.ScenarioParams {
-	var spread time.Duration
-	if sc.Circuits.Arrival.Kind == ArriveUniform {
-		spread = sc.Circuits.Arrival.Spread
-	}
-	// With a SizeMix-only workload the transfers are driven by
-	// runTransfers (per-circuit sizeFor), but Build still validates a
-	// positive TransferSize — hand it the first mix entry.
+	// With a SizeMix-only workload the transfers take per-circuit sizes
+	// (sizeFor), but Build still validates a positive TransferSize —
+	// hand it the first mix entry.
 	size := sc.Circuits.TransferSize
 	if size <= 0 {
 		size = sc.Circuits.sizeFor(0)
@@ -250,8 +250,6 @@ func workloadParams(sc Scenario, arm Arm, ar *arena.Arena) workload.ScenarioPara
 		TransferSize:   size,
 		Transport:      arm.Transport,
 		ClientAccess:   sc.ClientAccess,
-		StartSpread:    spread,
-		Download:       sc.Circuits.Download,
 		TraceCwnd:      sc.Probes.TraceCwnd,
 		Fabric:         sc.Topology.Fabric,
 		RelayConfig:    arm.Relay,
@@ -260,56 +258,21 @@ func workloadParams(sc Scenario, arm Arm, ar *arena.Arena) workload.ScenarioPara
 	}
 }
 
-// runGenerated executes one trial over a generated relay population via
-// the workload package. Together/uniform arrivals go through
-// workload.Scenario.Run — the exact execution path of the pre-scenario
-// experiments, preserving their seeded outputs bit for bit.
-func runGenerated(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]CircuitOutcome, NetStats, error) {
-	wsc, err := workload.Build(seed, workloadParams(sc, arm, ar))
-	if err != nil {
-		return nil, NetStats{}, err
-	}
-	scheduleEvents(wsc.Network, sc.Events)
-	if sc.Circuits.Arrival.Kind == ArrivePoisson || len(sc.Circuits.SizeMix) > 0 {
-		runTransfers(wsc.Network, wsc.Circuits, sc.Circuits, seed, sc.Horizon, false)
-	} else {
-		wsc.Run(sc.Horizon)
-	}
-	return collect(wsc.Circuits, rep, sc.Probes.TraceCwnd), netStats(wsc.Network), nil
-}
-
-// buildExplicit constructs one trial's network over an explicit
-// topology: attach the listed relays in order and build each circuit
-// along its declared path. It returns the (defaults-filled) client
-// access so churn arrivals attach identically. Shared by the static
-// and churn paths.
-func buildExplicit(sc Scenario, arm Arm, seed int64, ar *arena.Arena) (*core.Network, []*core.Circuit, netem.AccessConfig, error) {
-	build := func(clock *sim.Clock, _ *sim.RNG) netem.Fabric {
-		return netem.NewStarFabric(clock)
-	}
-	if spec := sc.Topology.Fabric; spec != nil {
-		fs := spec.Clone()
-		for i := range fs.Trunks {
-			fs.Trunks[i].Config.TrainSize = sc.TrainSize
-		}
-		build = func(clock *sim.Clock, rng *sim.RNG) netem.Fabric {
-			return fs.Build(clock, rng)
-		}
-	}
-	var n *core.Network
-	if ar != nil {
-		n = core.NewNetworkInArena(ar, seed, build)
-	} else {
-		n = core.NewNetworkWithFabric(seed, build)
-	}
+// populateExplicit attaches an explicit topology's relays in declared
+// order and builds each initial circuit along its declared path. It
+// returns the (defaults-filled) client access so churn arrivals attach
+// identically. A circuit a relay refused at admission under a
+// reject-new policy is a nil slot, reported as a rejected outcome.
+// Shared by both engines.
+func populateExplicit(n workload.Builder, sc Scenario, arm Arm) ([]*core.Circuit, netem.AccessConfig, error) {
 	if err := n.ConfigureRelays(arm.Relay); err != nil {
-		return nil, nil, netem.AccessConfig{}, err
+		return nil, netem.AccessConfig{}, err
 	}
 	for _, r := range sc.Topology.Relays {
 		acc := r.Access
 		acc.TrainSize = sc.TrainSize
 		if _, err := n.AddRelay(r.ID, acc); err != nil {
-			return nil, nil, netem.AccessConfig{}, err
+			return nil, netem.AccessConfig{}, err
 		}
 	}
 	access := sc.ClientAccess
@@ -319,118 +282,77 @@ func buildExplicit(sc Scenario, arm Arm, seed int64, ar *arena.Arena) (*core.Net
 	access.TrainSize = sc.TrainSize
 	circuits := make([]*core.Circuit, sc.Circuits.Count)
 	for i := range circuits {
-		source, sink := netem.NodeID("client"), netem.NodeID("server")
-		if sc.Circuits.Count > 1 {
-			source = netem.NodeID(fmt.Sprintf("client-%03d", i))
-			sink = netem.NodeID(fmt.Sprintf("server-%03d", i))
+		spec := circuitSpec(sc, arm, access, i, 0, sc.Circuits.path(i))
+		if sc.Circuits.Count == 1 {
+			spec.Source, spec.Sink = "client", "server"
 		}
-		c, err := n.BuildCircuit(core.CircuitSpec{
-			Source:       source,
-			Sink:         sink,
-			SourceAccess: access,
-			SinkAccess:   access,
-			Relays:       sc.Circuits.path(i),
-			Transport:    arm.Transport,
-			TraceCwnd:    sc.Probes.TraceCwnd,
-		})
-		if err != nil {
-			if errors.Is(err, core.ErrCircuitRejected) {
-				// A relay at its circuit cap refused the build under a
-				// reject-new policy; the slot stays nil and is reported
-				// as a rejected outcome.
-				continue
-			}
-			return nil, nil, netem.AccessConfig{}, fmt.Errorf("circuit %d: %w", i, err)
+		c, err := n.BuildCircuit(spec)
+		if err != nil && !errors.Is(err, core.ErrCircuitRejected) {
+			return nil, netem.AccessConfig{}, fmt.Errorf("circuit %d: %w", i, err)
 		}
 		circuits[i] = c
 	}
-	return n, circuits, access, nil
+	return circuits, access, nil
 }
 
-// runExplicit executes one trial over an explicit topology: attach the
-// listed relays in order, schedule link events, build each circuit
-// along its declared path, and run the transfers.
-func runExplicit(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]CircuitOutcome, NetStats, error) {
-	n, circuits, _, err := buildExplicit(sc, arm, seed, ar)
+// circuitSpec describes download index's circuit along path. Rebuilds
+// get distinct endpoint node IDs (ports cannot be re-attached), marked
+// with the rebuild ordinal.
+func circuitSpec(sc Scenario, arm Arm, access netem.AccessConfig, index, rebuild int, path []netem.NodeID) core.CircuitSpec {
+	source := fmt.Sprintf("client-%03d", index)
+	sink := fmt.Sprintf("server-%03d", index)
+	if rebuild > 0 {
+		source = fmt.Sprintf("%s.r%d", source, rebuild)
+		sink = fmt.Sprintf("%s.r%d", sink, rebuild)
+	}
+	return core.CircuitSpec{
+		Source:       netem.NodeID(source),
+		Sink:         netem.NodeID(sink),
+		SourceAccess: access,
+		SinkAccess:   access,
+		Relays:       path,
+		Transport:    arm.Transport,
+		TraceCwnd:    sc.Probes.TraceCwnd,
+	}
+}
+
+// pathFor returns the relay path for a fresh circuit of download index:
+// sampled bandwidth-weighted from cons with rng, avoiding excl, on
+// generated topologies; the declared paths cycled by index (arrival
+// indices run past Count) on explicit ones.
+func pathFor(sc Scenario, cons *directory.Consensus, rng *sim.RNG, excl map[netem.NodeID]bool, index int) ([]netem.NodeID, error) {
+	if cons == nil {
+		return sc.Circuits.path(index % len(sc.Circuits.Paths)), nil
+	}
+	descs, err := cons.SelectPathExcluding(rng, sc.Circuits.Hops, excl)
 	if err != nil {
-		return nil, NetStats{}, err
+		return nil, err
 	}
-	scheduleEvents(n, sc.Events)
-	runTransfers(n, circuits, sc.Circuits, seed, sc.Horizon, sc.RunFullHorizon)
-	return collect(circuits, rep, sc.Probes.TraceCwnd), netStats(n), nil
-}
-
-// runTransfers starts every circuit's transfer per the arrival process
-// and executes the simulation. Unless fullHorizon is set, the clock
-// stops as soon as the last transfer completes — a resource-limit kill
-// counts its circuit as finished so an eviction cannot stall the stop.
-// Circuits rejected at admission (nil slots) never start.
-func runTransfers(n *core.Network, circuits []*core.Circuit, cs CircuitSet, seed int64, horizon sim.Time, fullHorizon bool) {
-	delays := arrivalDelays(seed, cs, len(circuits))
-	remaining := 0
-	for _, c := range circuits {
-		if c != nil {
-			remaining++
-		}
+	path := make([]netem.NodeID, len(descs))
+	for i, d := range descs {
+		path[i] = d.ID
 	}
-	finished := make([]bool, len(circuits))
-	finish := func(i int) {
-		if finished[i] {
-			return
-		}
-		finished[i] = true
-		remaining--
-		if remaining == 0 && !fullHorizon {
-			n.Clock().Stop()
-		}
-	}
-	idx := make(map[*core.Circuit]int, len(circuits))
-	for i, c := range circuits {
-		if c != nil {
-			idx[c] = i
-		}
-	}
-	n.OnKill(func(c *core.Circuit) {
-		if i, ok := idx[c]; ok {
-			finish(i)
-		}
-	})
-	for i, c := range circuits {
-		if c == nil {
-			continue
-		}
-		i, circ := i, c
-		start := func() {
-			if circ.Closed() {
-				// Evicted before its start (admission kill at build
-				// time, or mid-stagger); nothing left to transfer.
-				finish(i)
-				return
-			}
-			done := func(time.Duration) { finish(i) }
-			if cs.Download {
-				circ.TransferBackward(cs.sizeFor(i), done)
-			} else {
-				circ.Transfer(cs.sizeFor(i), done)
-			}
-		}
-		if delays[i] == 0 {
-			start()
-		} else {
-			n.Clock().After(delays[i], start)
-		}
-	}
-	n.RunUntil(horizon)
+	return path, nil
 }
 
 // arrivalDelays renders the arrival process into per-circuit start
 // offsets, drawn from seed-derived streams so they are identical across
-// arms and worker counts.
-func arrivalDelays(seed int64, cs CircuitSet, n int) []time.Duration {
+// arms, worker counts and engines. Uniform starts of a churn-free,
+// fixed-size trial over a generated population come from
+// "workload-starts", the stream the paper's aggregate experiment has
+// always drawn its stagger from; every other uniform trial draws from
+// "scenario-starts". Enabling churn on a generated uniform trial
+// therefore changes its realized start times.
+func arrivalDelays(sc *Scenario, seed int64, n int) []time.Duration {
+	cs := sc.Circuits
 	out := make([]time.Duration, n)
 	switch cs.Arrival.Kind {
 	case ArriveUniform:
-		rng := sim.NewRNG(seed, "scenario-starts")
+		stream := "scenario-starts"
+		if sc.Topology.Population != nil && !sc.hasChurn() && len(cs.SizeMix) == 0 {
+			stream = "workload-starts"
+		}
+		rng := sim.NewRNG(seed, stream)
 		for i := range out {
 			out[i] = time.Duration(rng.Int63n(int64(cs.Arrival.Spread)))
 		}
@@ -441,34 +363,6 @@ func arrivalDelays(seed int64, cs CircuitSet, n int) []time.Duration {
 			at += time.Duration(rng.Exponential(1/cs.Arrival.Rate) * float64(time.Second))
 			out[i] = at
 		}
-	}
-	return out
-}
-
-// collect extracts one outcome per circuit after a trial has run. A nil
-// slot is a circuit refused at admission; it is reported as Rejected.
-func collect(circuits []*core.Circuit, rep int, traced bool) []CircuitOutcome {
-	out := make([]CircuitOutcome, len(circuits))
-	for i, c := range circuits {
-		if c == nil {
-			out[i] = CircuitOutcome{Replication: rep, Index: i, Rejected: true}
-			continue
-		}
-		ttlb, done := c.TTLB()
-		o := CircuitOutcome{
-			Replication:  rep,
-			Index:        i,
-			TTLB:         ttlb,
-			Done:         done,
-			Killed:       c.Killed() && !done,
-			OptimalCells: c.ModelPath().OptimalSourceWindowCells(),
-		}
-		st := c.SourceSender().Stats()
-		o.ExitCwnd, o.ExitTime, o.Restarts = st.ExitCwnd, st.ExitTime, st.Restarts
-		if traced {
-			o.Trace = c.SourceTrace()
-		}
-		out[i] = o
 	}
 	return out
 }

@@ -10,12 +10,11 @@
 // Poisson arrivals, capacity-step events and replicated runs. Circuits
 // are dynamic entities — CircuitEvents adds churn (downloads arriving
 // over fresh circuits, teardown of completed ones) and RelayEvents
-// schedules relay failures/recoveries with per-arm rebuild policies —
-// while zero-valued churn fields preserve the static execution path
-// byte for byte.
+// schedules relay failures/recoveries with per-arm rebuild policies.
+// With zero-valued churn fields a trial's circuits live to its end.
 //
-// Determinism is a hard guarantee: each trial builds its own
-// core.Network from a seed-derived substream and the aggregation order
+// Determinism is a hard guarantee: each trial builds its own network
+// from a seed-derived substream and the aggregation order
 // is fixed by the trial index, so a Result is bit-identical regardless
 // of the worker count or the order in which trials happen to finish.
 package scenario
@@ -184,9 +183,9 @@ type Scenario struct {
 	ClientAccess netem.AccessConfig
 	// Horizon bounds each trial's virtual time.
 	Horizon sim.Time
-	// RunFullHorizon keeps the clock running to Horizon even after all
-	// transfers complete, so cwnd traces include the post-convergence
-	// tail (explicit topologies only).
+	// RunFullHorizon keeps a churn-free trial's clock running to Horizon
+	// even after all transfers complete, so cwnd traces include the
+	// post-convergence tail.
 	RunFullHorizon bool
 	// Replications repeats every arm with an independent seed
 	// substream (0 = 1). Arm distributions pool all replications.
@@ -196,8 +195,8 @@ type Scenario struct {
 	Events []LinkEvent
 	// CircuitEvents configures circuit churn: Poisson arrivals of new
 	// downloads over fresh circuits, teardown of completed circuits,
-	// and scheduled teardowns of initial circuits. The zero value keeps
-	// the static all-circuits-at-t=0-forever execution path.
+	// and scheduled teardowns of initial circuits. With the zero value
+	// every circuit lives to the end of the trial.
 	CircuitEvents CircuitEvents
 	// RelayEvents schedules relay failures and recoveries. Circuits
 	// crossing a failed relay are torn down at the failure instant;
@@ -207,8 +206,8 @@ type Scenario struct {
 	// jitter, link flaps, trunk partitions, relay degradation, and the
 	// endpoint-side stall-detection/recovery configuration. The zero
 	// value injects nothing and keeps seeded outputs byte-identical;
-	// any non-zero plan routes the trial through the dynamic lifecycle
-	// engine (see internal/faults).
+	// any non-zero plan turns on the dynamic circuit lifecycle (see
+	// internal/faults).
 	Faults faults.Plan
 	// TrainSize caps cell-train coalescing on every link of every trial
 	// — access links and backbone trunks alike. Values ≤ 1 keep the
@@ -397,9 +396,6 @@ func (sc *Scenario) validate() error {
 			if ev.Relay != "" {
 				return fmt.Errorf("scenario: relay link events need an explicit topology")
 			}
-		}
-		if sc.RunFullHorizon {
-			return fmt.Errorf("scenario: RunFullHorizon needs an explicit topology")
 		}
 	}
 	if sc.Circuits.Count <= 0 {

@@ -171,8 +171,8 @@ func TestRunnerPoissonArrivals(t *testing.T) {
 }
 
 func TestArrivalDelays(t *testing.T) {
-	cs := CircuitSet{Arrival: Arrival{Kind: ArrivePoisson, Rate: 100}}
-	delays := arrivalDelays(1, cs, 20)
+	sc := &Scenario{Circuits: CircuitSet{Arrival: Arrival{Kind: ArrivePoisson, Rate: 100}}}
+	delays := arrivalDelays(sc, 1, 20)
 	var prev time.Duration
 	for i, d := range delays {
 		if d <= prev {
@@ -180,16 +180,52 @@ func TestArrivalDelays(t *testing.T) {
 		}
 		prev = d
 	}
-	cs = CircuitSet{Arrival: Arrival{Kind: ArriveUniform, Spread: time.Second}}
-	for i, d := range arrivalDelays(1, cs, 20) {
+	sc = &Scenario{Circuits: CircuitSet{Arrival: Arrival{Kind: ArriveUniform, Spread: time.Second}}}
+	for i, d := range arrivalDelays(sc, 1, 20) {
 		if d < 0 || d >= time.Second {
 			t.Fatalf("uniform delay %d = %v outside [0, 1s)", i, d)
 		}
 	}
-	cs = CircuitSet{}
-	for i, d := range arrivalDelays(1, cs, 3) {
+	sc = &Scenario{}
+	for i, d := range arrivalDelays(sc, 1, 3) {
 		if d != 0 {
 			t.Fatalf("together delay %d = %v", i, d)
+		}
+	}
+}
+
+func TestUniformStartStream(t *testing.T) {
+	// Churn-free fixed-size uniform trials over a generated population
+	// draw from "workload-starts"; a size mix, churn, or an explicit
+	// topology selects "scenario-starts".
+	draw := func(stream string) []time.Duration {
+		rng := sim.NewRNG(5, stream)
+		out := make([]time.Duration, 4)
+		for i := range out {
+			out[i] = time.Duration(rng.Int63n(int64(time.Second)))
+		}
+		return out
+	}
+	pop := workload.DefaultRelayParams(4)
+	uniform := Arrival{Kind: ArriveUniform, Spread: time.Second}
+	cases := []struct {
+		name   string
+		sc     Scenario
+		stream string
+	}{
+		{"generated", Scenario{Topology: Topology{Population: &pop}, Circuits: CircuitSet{Arrival: uniform}}, "workload-starts"},
+		{"generated/sizemix", Scenario{Topology: Topology{Population: &pop},
+			Circuits: CircuitSet{Arrival: uniform, SizeMix: []units.DataSize{units.Kilobyte}}}, "scenario-starts"},
+		{"generated/churn", Scenario{Topology: Topology{Population: &pop}, Circuits: CircuitSet{Arrival: uniform},
+			CircuitEvents: CircuitEvents{TeardownDelay: time.Second}}, "scenario-starts"},
+		{"explicit", Scenario{Circuits: CircuitSet{Arrival: uniform}}, "scenario-starts"},
+	}
+	for _, tc := range cases {
+		got, want := arrivalDelays(&tc.sc, 5, 4), draw(tc.stream)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: delay %d = %v, want %v from %q", tc.name, i, got[i], want[i], tc.stream)
+			}
 		}
 	}
 }
@@ -222,7 +258,6 @@ func TestScenarioValidation(t *testing.T) {
 		{"poisson without rate", func(s *Scenario) { s.Circuits.Arrival.Kind = ArrivePoisson }},
 		{"paths on generated", func(s *Scenario) { s.Circuits.Paths = [][]netem.NodeID{{"r1"}} }},
 		{"events on generated", func(s *Scenario) { s.Events = []LinkEvent{{At: 1, Relay: "r1", Rate: units.Mbps(1)}} }},
-		{"full horizon on generated", func(s *Scenario) { s.RunFullHorizon = true }},
 		{"explicit without paths", func(s *Scenario) {
 			s.Topology = Topology{Relays: []RelaySpec{relay}}
 		}},

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -11,8 +10,8 @@ import (
 	"circuitstart/internal/directory"
 	"circuitstart/internal/faults"
 	"circuitstart/internal/netem"
+	"circuitstart/internal/resource"
 	"circuitstart/internal/sim"
-	"circuitstart/internal/units"
 	"circuitstart/internal/workload"
 )
 
@@ -53,7 +52,7 @@ import (
 // happens-before edge, so no lock is needed.
 type sdownload struct {
 	index    int
-	circuit  *core.ShardedCircuit
+	circuit  *core.Circuit
 	startAt  sim.Time // first transfer start instant
 	started  bool
 	handled  bool // completion accounted at a barrier
@@ -77,11 +76,11 @@ type spending struct {
 // linger.
 type slinger struct {
 	at sim.Time
-	c  *core.ShardedCircuit
+	c  *core.Circuit
 }
 
-// shardedEngine drives one trial on a ShardedNetwork, both the static
-// path and the dynamic circuit lifecycle (churn, relay events, faults).
+// shardedEngine drives one trial on a ShardedNetwork, churn-free or
+// with the dynamic circuit lifecycle (churn, relay events, faults).
 type shardedEngine struct {
 	sc      Scenario
 	arm     Arm
@@ -130,23 +129,17 @@ func runSharded(sc Scenario, arm Arm, seed int64, rep int, arenas []*arena.Arena
 		e.churn.Lifetime = newLifetimeDist(arm.Name)
 	}
 
-	var initial []*core.ShardedCircuit
-	var err error
-	if sc.Topology.Population != nil {
-		initial, err = e.buildGenerated(arenas)
-	} else {
-		initial, err = e.buildExplicit(arenas)
-	}
+	initial, err := e.build(arenas)
 	if err != nil {
 		return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
 	}
 	if sc.Faults.Enabled() {
-		faults.InstallSharded(e.sn, sc.Faults, seed)
+		faults.Install(e.sn, sc.Faults, seed)
 	}
 
 	// Initial downloads follow the declared arrival process, drawn from
 	// the same streams as the single-clock engine.
-	delays := arrivalDelays(seed, sc.Circuits, len(initial))
+	delays := arrivalDelays(&sc, seed, len(initial))
 	for i, c := range initial {
 		d := e.newDownload(i)
 		d.circuit = c
@@ -185,7 +178,8 @@ func runSharded(sc Scenario, arm Arm, seed int64, rep int, arenas []*arena.Arena
 	sort.SliceStable(e.relayEvs, func(i, j int) bool { return e.relayEvs[i].At.Before(e.relayEvs[j].At) })
 
 	e.sn.RunWindows(sc.Horizon, e.barrier)
-	return e.collect(rep), netStatsSharded(e.sn), e.churn, ResilienceStats{}, nil
+	// Resource limits are rejected on the sharded engine: no counters.
+	return e.collect(rep), netStats(e.sn.Fabric(), resource.Stats{}, e.sn.SchedDrops()), e.churn, ResilienceStats{}, nil
 }
 
 // newDownload allocates a ledger entry from the arena slab when one is
@@ -199,140 +193,35 @@ func (e *shardedEngine) newDownload(index int) *sdownload {
 	return &sdownload{index: index}
 }
 
-// newShardedNetwork builds the trial's ShardedNetwork from the
-// scenario's fabric spec (TrainSize stamped onto a deep copy) and pins
-// the partition-independent barrier stride.
-func (e *shardedEngine) newShardedNetwork(arenas []*arena.Arena) error {
+// build makes the trial's ShardedNetwork from the scenario's fabric
+// spec (TrainSize stamped onto a deep copy), pins the
+// partition-independent barrier stride, and builds the initial circuits
+// with the single-clock engine's builders.
+func (e *shardedEngine) build(arenas []*arena.Arena) ([]*core.Circuit, error) {
 	spec := e.sc.Topology.Fabric.Clone()
 	for i := range spec.Trunks {
 		spec.Trunks[i].Config.TrainSize = e.sc.TrainSize
 	}
 	sn, err := core.NewShardedNetwork(e.seed, spec, e.sc.Shards, arenas)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if stride := spec.MinPositiveTrunkDelay(); stride > 0 {
 		sn.SetWindow(stride)
 		e.stride = stride
 	}
 	e.sn = sn
-	return nil
-}
-
-// buildExplicit mirrors the single-clock buildExplicit on the sharded
-// network: relays attached in declared order, circuits built along
-// their declared paths.
-func (e *shardedEngine) buildExplicit(arenas []*arena.Arena) ([]*core.ShardedCircuit, error) {
-	sc := e.sc
-	if err := e.newShardedNetwork(arenas); err != nil {
-		return nil, err
+	if e.sc.Topology.Population == nil {
+		var initial []*core.Circuit
+		initial, e.access, err = populateExplicit(sn, e.sc, e.arm)
+		return initial, err
 	}
-	if err := e.sn.ConfigureRelays(e.arm.Relay); err != nil {
-		return nil, err
-	}
-	for _, r := range sc.Topology.Relays {
-		acc := r.Access
-		acc.TrainSize = sc.TrainSize
-		if _, err := e.sn.AddRelay(r.ID, acc); err != nil {
-			return nil, err
-		}
-	}
-	access := sc.ClientAccess
-	if access.UpRate == 0 {
-		access = netem.Symmetric(units.Mbps(100), 5*time.Millisecond, 0)
-	}
-	access.TrainSize = sc.TrainSize
-	e.access = access
-	circuits := make([]*core.ShardedCircuit, sc.Circuits.Count)
-	for i := range circuits {
-		source, sink := netem.NodeID("client"), netem.NodeID("server")
-		if sc.Circuits.Count > 1 {
-			source = netem.NodeID(fmt.Sprintf("client-%03d", i))
-			sink = netem.NodeID(fmt.Sprintf("server-%03d", i))
-		}
-		c, err := e.sn.BuildCircuit(core.CircuitSpec{
-			Source:       source,
-			Sink:         sink,
-			SourceAccess: access,
-			SinkAccess:   access,
-			Relays:       sc.Circuits.path(i),
-			Transport:    e.arm.Transport,
-			TraceCwnd:    sc.Probes.TraceCwnd,
-		})
-		if err != nil {
-			if errors.Is(err, core.ErrCircuitRejected) {
-				continue
-			}
-			return nil, fmt.Errorf("circuit %d: %w", i, err)
-		}
-		circuits[i] = c
-	}
-	return circuits, nil
-}
-
-// buildGenerated mirrors workload.Build on the sharded network: the
-// same "workload-relays" population, the same consensus, and initial
-// paths from the same "workload-paths" stream.
-func (e *shardedEngine) buildGenerated(arenas []*arena.Arena) ([]*core.ShardedCircuit, error) {
-	sc := e.sc
-	relays, err := workload.GenerateRelays(e.seed, *sc.Topology.Population)
+	pop, err := workload.Populate(e.seed, sn, workloadParams(e.sc, e.arm, nil))
 	if err != nil {
 		return nil, err
 	}
-	if err := e.newShardedNetwork(arenas); err != nil {
-		return nil, err
-	}
-	if err := e.sn.ConfigureRelays(e.arm.Relay); err != nil {
-		return nil, err
-	}
-	descs := make([]directory.Descriptor, len(relays))
-	for i, r := range relays {
-		descs[i] = r.Desc
-		r.Access.TrainSize = sc.TrainSize
-		if _, err := e.sn.AddRelay(r.Desc.ID, r.Access); err != nil {
-			return nil, err
-		}
-	}
-	e.cons, err = directory.NewConsensus(descs)
-	if err != nil {
-		return nil, err
-	}
-	access := sc.ClientAccess
-	if access.UpRate == 0 {
-		access = netem.Symmetric(units.Mbps(100), 5*time.Millisecond, sc.Topology.Population.QueueCap)
-	}
-	access.TrainSize = sc.TrainSize
-	e.access = access
-
-	pathRNG := sim.NewRNG(e.seed, "workload-paths")
-	circuits := make([]*core.ShardedCircuit, sc.Circuits.Count)
-	for i := range circuits {
-		path, err := e.cons.SelectPath(pathRNG, e.hops())
-		if err != nil {
-			return nil, fmt.Errorf("circuit %d: %w", i, err)
-		}
-		ids := make([]netem.NodeID, len(path))
-		for j, d := range path {
-			ids[j] = d.ID
-		}
-		c, err := e.sn.BuildCircuit(core.CircuitSpec{
-			Source:       netem.NodeID(fmt.Sprintf("client-%03d", i)),
-			Sink:         netem.NodeID(fmt.Sprintf("server-%03d", i)),
-			SourceAccess: access,
-			SinkAccess:   access,
-			Relays:       ids,
-			Transport:    e.arm.Transport,
-			TraceCwnd:    sc.Probes.TraceCwnd,
-		})
-		if err != nil {
-			if errors.Is(err, core.ErrCircuitRejected) {
-				continue
-			}
-			return nil, fmt.Errorf("circuit %d: %w", i, err)
-		}
-		circuits[i] = c
-	}
-	return circuits, nil
+	e.cons, e.access = pop.Consensus, pop.Params.ClientAccess
+	return pop.Circuits, nil
 }
 
 // nextBarrier returns the instant of the barrier after now.
@@ -367,7 +256,7 @@ func (e *shardedEngine) handleCompletions(now sim.Time) {
 		}
 		d.handled = true
 		if !e.churnOn {
-			continue // static circuits live to the end of the trial
+			continue // churn-free circuits live to the end of the trial
 		}
 		if delay := e.sc.CircuitEvents.TeardownDelay; delay > 0 {
 			e.lingers = append(e.lingers, slinger{at: d.doneAt.Add(delay), c: d.circuit})
@@ -433,7 +322,7 @@ func (e *shardedEngine) relayEvent(ev RelayEvent, now sim.Time) {
 		if d.done || d.aborted || d.circuit == nil || d.circuit.Closed() {
 			continue
 		}
-		if !crossesShardedRelay(d.circuit, ev.Relay) {
+		if !crossesRelay(d.circuit, ev.Relay) {
 			continue
 		}
 		e.teardown(d.circuit)
@@ -524,38 +413,14 @@ func (e *shardedEngine) startTransfer(d *sdownload, at sim.Time) {
 	})
 }
 
-// buildOn builds download d a circuit: a consensus-sampled path
-// (excluding excl) on generated topologies, the declared path cycle on
-// explicit ones. Rebuilds get distinct endpoint node IDs.
+// buildOn builds download d a circuit over a path avoiding excl (see
+// pathFor). Rebuilds get distinct endpoint node IDs.
 func (e *shardedEngine) buildOn(d *sdownload, excl map[netem.NodeID]bool) error {
-	var path []netem.NodeID
-	if e.cons != nil {
-		descs, err := e.cons.SelectPathExcluding(e.pathRNG, e.hops(), excl)
-		if err != nil {
-			return err
-		}
-		path = make([]netem.NodeID, len(descs))
-		for i, dd := range descs {
-			path[i] = dd.ID
-		}
-	} else {
-		path = e.sc.Circuits.path(d.index % len(e.sc.Circuits.Paths))
+	path, err := pathFor(e.sc, e.cons, e.pathRNG, excl, d.index)
+	if err != nil {
+		return err
 	}
-	source := fmt.Sprintf("client-%03d", d.index)
-	sink := fmt.Sprintf("server-%03d", d.index)
-	if d.rebuild > 0 {
-		source = fmt.Sprintf("%s.r%d", source, d.rebuild)
-		sink = fmt.Sprintf("%s.r%d", sink, d.rebuild)
-	}
-	c, err := e.sn.BuildCircuit(core.CircuitSpec{
-		Source:       netem.NodeID(source),
-		Sink:         netem.NodeID(sink),
-		SourceAccess: e.access,
-		SinkAccess:   e.access,
-		Relays:       path,
-		Transport:    e.arm.Transport,
-		TraceCwnd:    e.sc.Probes.TraceCwnd,
-	})
+	c, err := e.sn.BuildCircuit(circuitSpec(e.sc, e.arm, e.access, d.index, d.rebuild, path))
 	if err != nil {
 		return err
 	}
@@ -575,32 +440,13 @@ func (e *shardedEngine) abort(d *sdownload) {
 }
 
 // teardown closes a circuit and accounts its lifetime.
-func (e *shardedEngine) teardown(c *core.ShardedCircuit) {
+func (e *shardedEngine) teardown(c *core.Circuit) {
 	if c.Closed() {
 		return
 	}
 	c.Teardown()
 	e.churn.TornDown++
 	e.churn.Lifetime.Add(c.Lifetime().Seconds())
-}
-
-// hops returns the sampled path length on generated topologies.
-func (e *shardedEngine) hops() int {
-	if e.sc.Circuits.Hops > 0 {
-		return e.sc.Circuits.Hops
-	}
-	return 3
-}
-
-// crossesShardedRelay reports whether the circuit's path contains the
-// relay.
-func crossesShardedRelay(c *core.ShardedCircuit, id netem.NodeID) bool {
-	for _, r := range c.Relays() {
-		if r == id {
-			return true
-		}
-	}
-	return false
 }
 
 // finished reports whether the trial can stop at this barrier: every
@@ -624,8 +470,8 @@ func (e *shardedEngine) finished() bool {
 
 // collect renders the downloads into outcomes, in index order. With
 // churn on, circuits still alive at the stop are torn down so their
-// lifetimes are accounted; static trials leave them standing, like the
-// single-clock engine.
+// lifetimes are accounted; churn-free trials leave them standing, like
+// the single-clock engine.
 func (e *shardedEngine) collect(rep int) []CircuitOutcome {
 	out := make([]CircuitOutcome, len(e.downloads))
 	for i, d := range e.downloads {
@@ -653,20 +499,4 @@ func (e *shardedEngine) collect(rep int) []CircuitOutcome {
 		out[i] = o
 	}
 	return out
-}
-
-// netStatsSharded snapshots the sharded fabric after a trial. The trunk
-// list is in the unsharded fabric's global order, so the per-trunk
-// table renders identically at every shard count.
-func netStatsSharded(sn *core.ShardedNetwork) NetStats {
-	fab := sn.Fabric()
-	st := NetStats{
-		UnknownDst: fab.UnknownDst(),
-		Unroutable: fab.Unroutable(),
-		SchedDrops: sn.SchedDrops(),
-	}
-	for _, l := range fab.Trunks() {
-		st.Trunks = append(st.Trunks, TrunkStat{Name: l.Name(), Stats: l.Stats()})
-	}
-	return st
 }

@@ -95,10 +95,9 @@ func TestBuildOnBackboneRunsToCompletion(t *testing.T) {
 	if !ok {
 		t.Fatal("network not on a graph fabric")
 	}
-	results := sc.Run(600 * sim.Second)
-	for _, r := range results {
+	for i, r := range runAll(sc, p.TransferSize, false, 600*sim.Second) {
 		if !r.Done {
-			t.Fatalf("circuit %d incomplete", r.Circuit)
+			t.Fatalf("circuit %d incomplete", i)
 		}
 	}
 	if gf.UnknownDst() != 0 || gf.Unroutable() != 0 {
@@ -115,7 +114,7 @@ func TestBuildOnBackboneRunsToCompletion(t *testing.T) {
 }
 
 func TestBuildOnBackboneDeterministic(t *testing.T) {
-	run := func() []Result {
+	run := func() []transfer {
 		p := ScenarioParams{
 			Relays:         DefaultRelayParams(6),
 			Circuits:       3,
@@ -131,7 +130,7 @@ func TestBuildOnBackboneDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sc.Run(600 * sim.Second)
+		return runAll(sc, p.TransferSize, false, 600*sim.Second)
 	}
 	a, b := run(), run()
 	for i := range a {

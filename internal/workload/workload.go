@@ -164,13 +164,15 @@ type ScenarioParams struct {
 	Fabric *netem.GraphSpec
 	// StartSpread staggers circuit start times uniformly in [0,
 	// StartSpread) so the experiment does not begin with a synchronized
-	// burst (0 = all start at t = 0).
+	// burst (0 = all start at t = 0). Build starts nothing: the scenario
+	// layer runs the transfers (see experiments.Fig1DownloadCDF).
 	StartSpread time.Duration
 	// Download, when true, runs the transfers in the backward
 	// direction (server → client through the onion), the direction the
 	// paper's "download times" refer to. The default forward direction
 	// is congestion-equivalent on symmetric access links and matches
-	// the figure benchmarks.
+	// the figure benchmarks. Like StartSpread, it describes the run, not
+	// the build.
 	Download bool
 	// TraceCwnd records per-circuit window traces (memory-heavy; only
 	// the single-circuit figures need it).
@@ -207,65 +209,112 @@ func DefaultScenario() ScenarioParams {
 	}
 }
 
-// Scenario is a built, runnable aggregate experiment.
-type Scenario struct {
-	Network   *core.Network
+// Builder is the network a population is built on: a core.Network, or
+// a core.ShardedNetwork whose relays and endpoints span several shards.
+type Builder interface {
+	ConfigureRelays(cfg relay.Config) error
+	AddRelay(id netem.NodeID, access netem.AccessConfig) (*relay.Relay, error)
+	BuildCircuit(spec core.CircuitSpec) (*core.Circuit, error)
+}
+
+// Population is a generated relay population attached to a network,
+// with a scenario's initial circuits built across it.
+type Population struct {
 	Consensus *directory.Consensus
-	Circuits  []*core.Circuit
-	Params    ScenarioParams
+	// Circuits holds one circuit per requested circuit, in order. A
+	// circuit a capped relay refused at admission is a nil slot, so
+	// indices keep lining up with the path RNG draws.
+	Circuits []*core.Circuit
+	// Params echoes the scenario parameters with defaults filled.
+	Params ScenarioParams
+}
+
+// Scenario is a built aggregate experiment on its own network.
+type Scenario struct {
+	Network *core.Network
+	Population
 }
 
 // Build instantiates the network, relays and circuits of a scenario.
 // Paths are selected bandwidth-weighted from the generated consensus,
 // exactly as the directory package implements Tor's selection.
 func Build(seed int64, p ScenarioParams) (*Scenario, error) {
+	p, err := p.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	n, err := NewNetwork(seed, p.Fabric, p.Arena, p.TrainSize)
+	if err != nil {
+		return nil, err
+	}
+	pop, err := populate(seed, n, p)
+	if err != nil {
+		return nil, err
+	}
+	return &Scenario{Network: n, Population: pop}, nil
+}
+
+// Populate is Build on a network the caller made: it attaches the
+// generated relay population (stream "workload-relays") to n and builds
+// the scenario's circuits over paths sampled from its consensus
+// (stream "workload-paths"). p.Fabric and p.Arena are ignored — they
+// shape the network, which already exists.
+func Populate(seed int64, n Builder, p ScenarioParams) (Population, error) {
+	p, err := p.withDefaults()
+	if err != nil {
+		return Population{}, err
+	}
+	return populate(seed, n, p)
+}
+
+// withDefaults validates p and fills its client access default.
+func (p ScenarioParams) withDefaults() (ScenarioParams, error) {
 	if p.Circuits <= 0 {
-		return nil, fmt.Errorf("workload: %d circuits", p.Circuits)
+		return p, fmt.Errorf("workload: %d circuits", p.Circuits)
 	}
 	if p.HopsPerCircuit <= 0 {
-		return nil, fmt.Errorf("workload: %d hops per circuit", p.HopsPerCircuit)
+		return p, fmt.Errorf("workload: %d hops per circuit", p.HopsPerCircuit)
 	}
 	if p.TransferSize <= 0 {
-		return nil, fmt.Errorf("workload: transfer size %v", p.TransferSize)
+		return p, fmt.Errorf("workload: transfer size %v", p.TransferSize)
 	}
 	if p.TrainSize < 0 {
-		return nil, fmt.Errorf("workload: negative train size %d", p.TrainSize)
+		return p, fmt.Errorf("workload: negative train size %d", p.TrainSize)
 	}
 	if p.ClientAccess.UpRate == 0 {
 		p.ClientAccess = netem.Symmetric(units.Mbps(100), 5*time.Millisecond, p.Relays.QueueCap)
 	}
 	p.ClientAccess.TrainSize = p.TrainSize
+	return p, nil
+}
 
+func populate(seed int64, n Builder, p ScenarioParams) (Population, error) {
 	relays, err := GenerateRelays(seed, p.Relays)
 	if err != nil {
-		return nil, err
-	}
-	descs := make([]directory.Descriptor, len(relays))
-	n, err := newNetwork(seed, p.Fabric, p.Arena, p.TrainSize)
-	if err != nil {
-		return nil, err
+		return Population{}, err
 	}
 	if err := n.ConfigureRelays(p.RelayConfig); err != nil {
-		return nil, err
+		return Population{}, err
 	}
+	descs := make([]directory.Descriptor, len(relays))
 	for i, r := range relays {
 		descs[i] = r.Desc
 		r.Access.TrainSize = p.TrainSize
 		if _, err := n.AddRelay(r.Desc.ID, r.Access); err != nil {
-			return nil, err
+			return Population{}, err
 		}
 	}
 	consensus, err := directory.NewConsensus(descs)
 	if err != nil {
-		return nil, err
+		return Population{}, err
 	}
 
 	pathRNG := sim.NewRNG(seed, "workload-paths")
-	sc := &Scenario{Network: n, Consensus: consensus, Params: p}
+	pop := Population{Consensus: consensus, Params: p}
 	for i := 0; i < p.Circuits; i++ {
 		path, err := consensus.SelectPath(pathRNG, p.HopsPerCircuit)
 		if err != nil {
-			return nil, fmt.Errorf("workload: circuit %d: %w", i, err)
+			return Population{}, fmt.Errorf("workload: circuit %d: %w", i, err)
 		}
 		ids := make([]netem.NodeID, len(path))
 		for j, d := range path {
@@ -280,26 +329,21 @@ func Build(seed int64, p ScenarioParams) (*Scenario, error) {
 			Transport:    p.Transport,
 			TraceCwnd:    p.TraceCwnd,
 		})
-		if err != nil {
-			if errors.Is(err, core.ErrCircuitRejected) {
-				// A capped relay refused the build; the slot stays nil
-				// so indices keep lining up with the path RNG draws.
-				sc.Circuits = append(sc.Circuits, nil)
-				continue
-			}
-			return nil, fmt.Errorf("workload: circuit %d: %w", i, err)
+		if err != nil && !errors.Is(err, core.ErrCircuitRejected) {
+			return Population{}, fmt.Errorf("workload: circuit %d: %w", i, err)
 		}
-		sc.Circuits = append(sc.Circuits, c)
+		pop.Circuits = append(pop.Circuits, c)
 	}
-	return sc, nil
+	return pop, nil
 }
 
-// newNetwork builds a trial network on the star (fabric == nil) or on a
+// NewNetwork builds a trial network on the star (fabric == nil) or on a
 // fresh fabric from the spec. The spec is validated here so a malformed
 // backbone surfaces as an error, not a panic inside a worker. trainSize
 // is stamped onto a deep copy of the spec's trunks (the original is
-// shared across parallel workers and must never be mutated).
-func newNetwork(seed int64, fabric *netem.GraphSpec, ar *arena.Arena, trainSize int) (*core.Network, error) {
+// shared across parallel workers and must never be mutated). ar, when
+// set, supplies the trial's recycled substrate.
+func NewNetwork(seed int64, fabric *netem.GraphSpec, ar *arena.Arena, trainSize int) (*core.Network, error) {
 	build := func(clock *sim.Clock, _ *sim.RNG) netem.Fabric {
 		return netem.NewStarFabric(clock)
 	}
@@ -319,87 +363,4 @@ func newNetwork(seed int64, fabric *netem.GraphSpec, ar *arena.Arena, trainSize 
 		return core.NewNetworkInArena(ar, seed, build), nil
 	}
 	return core.NewNetworkWithFabric(seed, build), nil
-}
-
-// Result is one circuit's outcome.
-type Result struct {
-	Circuit int
-	TTLB    time.Duration
-	Done    bool
-}
-
-// Run starts every circuit's transfer (staggered by StartSpread) and
-// executes the simulation until all transfers complete or the horizon
-// passes. It returns per-circuit results in circuit order.
-func (sc *Scenario) Run(horizon sim.Time) []Result {
-	p := sc.Params
-	startRNG := sim.NewRNG(sc.Network.Seed(), "workload-starts")
-	remaining := 0
-	for _, c := range sc.Circuits {
-		if c != nil {
-			remaining++
-		}
-	}
-	finished := make([]bool, len(sc.Circuits))
-	finish := func(i int) {
-		if finished[i] {
-			return
-		}
-		finished[i] = true
-		remaining--
-		if remaining == 0 {
-			sc.Network.Clock().Stop()
-		}
-	}
-	idx := make(map[*core.Circuit]int, len(sc.Circuits))
-	for i, c := range sc.Circuits {
-		if c != nil {
-			idx[c] = i
-		}
-	}
-	// A resource-limit eviction counts its circuit as finished, so a
-	// kill cannot stall the early stop.
-	sc.Network.OnKill(func(c *core.Circuit) {
-		if i, ok := idx[c]; ok {
-			finish(i)
-		}
-	})
-	for i, c := range sc.Circuits {
-		// Draw the start delay even for rejected (nil) circuits so the
-		// stagger of the surviving ones is independent of rejections.
-		delay := time.Duration(0)
-		if p.StartSpread > 0 {
-			delay = time.Duration(startRNG.Int63n(int64(p.StartSpread)))
-		}
-		if c == nil {
-			continue
-		}
-		i, circ := i, c
-		sc.Network.Clock().After(delay, func() {
-			if circ.Closed() {
-				// Evicted before its start (admission kill at build
-				// time, or mid-stagger); nothing left to transfer.
-				finish(i)
-				return
-			}
-			done := func(time.Duration) { finish(i) }
-			if p.Download {
-				circ.TransferBackward(p.TransferSize, done)
-			} else {
-				circ.Transfer(p.TransferSize, done)
-			}
-		})
-	}
-	sc.Network.RunUntil(horizon)
-
-	results := make([]Result, len(sc.Circuits))
-	for i, c := range sc.Circuits {
-		if c == nil {
-			results[i] = Result{Circuit: i}
-			continue
-		}
-		ttlb, done := c.TTLB()
-		results[i] = Result{Circuit: i, TTLB: ttlb, Done: done}
-	}
-	return results
 }

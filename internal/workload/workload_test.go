@@ -126,6 +126,31 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// transfer is one built circuit's outcome under runAll.
+type transfer struct {
+	TTLB time.Duration
+	Done bool
+}
+
+// runAll starts a size-byte transfer on every circuit Build produced,
+// all at t = 0, and runs the network to the horizon — just enough
+// driving to check the built circuits carry traffic end to end.
+func runAll(sc *Scenario, size units.DataSize, download bool, horizon sim.Time) []transfer {
+	for _, c := range sc.Circuits {
+		if download {
+			c.TransferBackward(size, nil)
+		} else {
+			c.Transfer(size, nil)
+		}
+	}
+	sc.Network.RunUntil(horizon)
+	out := make([]transfer, len(sc.Circuits))
+	for i, c := range sc.Circuits {
+		out[i].TTLB, out[i].Done = c.TTLB()
+	}
+	return out
+}
+
 func TestSmallScenarioRunsToCompletion(t *testing.T) {
 	p := DefaultScenario()
 	p.Relays = DefaultRelayParams(12)
@@ -138,20 +163,19 @@ func TestSmallScenarioRunsToCompletion(t *testing.T) {
 	if len(sc.Circuits) != 6 {
 		t.Fatalf("built %d circuits", len(sc.Circuits))
 	}
-	results := sc.Run(120 * sim.Second)
-	for _, r := range results {
+	for i, r := range runAll(sc, p.TransferSize, false, 120*sim.Second) {
 		if !r.Done {
-			t.Errorf("circuit %d incomplete", r.Circuit)
+			t.Errorf("circuit %d incomplete", i)
 			continue
 		}
 		if r.TTLB <= 0 {
-			t.Errorf("circuit %d TTLB %v", r.Circuit, r.TTLB)
+			t.Errorf("circuit %d TTLB %v", i, r.TTLB)
 		}
 	}
 }
 
 func TestScenarioDeterministic(t *testing.T) {
-	run := func() []Result {
+	run := func() []transfer {
 		p := DefaultScenario()
 		p.Relays = DefaultRelayParams(10)
 		p.Circuits = 4
@@ -160,7 +184,7 @@ func TestScenarioDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sc.Run(120 * sim.Second)
+		return runAll(sc, p.TransferSize, false, 120*sim.Second)
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -173,7 +197,7 @@ func TestScenarioDeterministic(t *testing.T) {
 func TestScenarioPoliciesDiffer(t *testing.T) {
 	// Same seed, different startup policy: the topology and paths are
 	// identical, so any TTLB difference is attributable to the policy.
-	run := func(policy string) []Result {
+	run := func(policy string) []transfer {
 		p := DefaultScenario()
 		p.Relays = DefaultRelayParams(10)
 		p.Circuits = 4
@@ -183,7 +207,7 @@ func TestScenarioPoliciesDiffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sc.Run(300 * sim.Second)
+		return runAll(sc, p.TransferSize, false, 300*sim.Second)
 	}
 	cs := run("circuitstart")
 	bt := run("backtap")
@@ -206,14 +230,13 @@ func TestDownloadScenarioCompletes(t *testing.T) {
 	p.Relays = DefaultRelayParams(12)
 	p.Circuits = 5
 	p.TransferSize = 100 * units.Kilobyte
-	p.Download = true
 	sc, err := Build(21, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range sc.Run(300 * sim.Second) {
+	for i, r := range runAll(sc, p.TransferSize, true, 300*sim.Second) {
 		if !r.Done {
-			t.Errorf("download circuit %d incomplete", r.Circuit)
+			t.Errorf("download circuit %d incomplete", i)
 		}
 	}
 	// Bytes must have arrived at the clients, not the servers.
