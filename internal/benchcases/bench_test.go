@@ -15,6 +15,7 @@ func BenchmarkOnionWrap(b *testing.B)        { OnionWrap(b) }
 func BenchmarkOnionUnwrap(b *testing.B)      { OnionUnwrap(b) }
 
 func BenchmarkSchedulerEnqueueDequeue(b *testing.B) { SchedulerEnqueueDequeue(b) }
+func BenchmarkShardHandoff(b *testing.B)            { ShardHandoff(b) }
 
 func BenchmarkSingleTransfer(b *testing.B) {
 	if testing.Short() {

@@ -12,7 +12,7 @@ import (
 
 // This file implements conservative-lookahead parallel execution of a
 // GraphFabric: the backbone is partitioned into shards, each shard owns
-// its own sim.Clock and runs its event loop on its own goroutine, and
+// its own sim.Clock and runs its event loop in parallel with the rest, and
 // the only coupling between shards is the propagation delay of the
 // trunks cut by the partition. Because a frame serialized on a cut
 // trunk at instant s cannot arrive before s + Delay, and every cut
@@ -21,8 +21,8 @@ import (
 // does during the window can affect this shard before the window ends.
 //
 // Execution is barrier-synchronous. At each barrier every shard clock
-// is parked at the same instant W; the coordinator drains boundary
-// queues, merge-sorts the eligible handoffs into the canonical order
+// is parked at the same instant W; the coordinator k-way merges the
+// boundary queues' eligible prefixes into the canonical order
 // (arrival, trunk, seq), schedules them on their destination shards,
 // and releases the shards to run to W + L. The merge key is
 // shard-count-invariant — trunk identity and per-trunk serialization
@@ -145,14 +145,14 @@ type handoffFrame struct {
 // handoff is one boundary delivery event: a frame or a whole surviving
 // train that finished serializing on a cut trunk. arrival is the
 // instant it would have been delivered locally; trunk and seq complete
-// the canonical merge key.
+// the canonical merge key. Its n frames wait, in order, in the
+// boundary's frame FIFO.
 type handoff struct {
 	arrival sim.Time
 	origin  sim.Time // serialization end on the source shard
 	trunk   string   // egress trunk name — shard-count-invariant identity
 	seq     uint64   // per-trunk serialization sequence
-	dstSw   SwitchID
-	frames  []handoffFrame
+	n       int      // frames carried
 }
 
 // handoffBefore is the canonical shard-merge comparator: arrival time,
@@ -161,7 +161,7 @@ type handoff struct {
 // independent of the shard count, so any interleaving of per-shard
 // queues merges into one canonical schedule. FuzzShardMergeOrder pins
 // this.
-func handoffBefore(a, b handoff) bool {
+func handoffBefore(a, b *handoff) bool {
 	if a.arrival != b.arrival {
 		return a.arrival < b.arrival
 	}
@@ -169,6 +169,69 @@ func handoffBefore(a, b handoff) bool {
 		return a.trunk < b.trunk
 	}
 	return a.seq < b.seq
+}
+
+// kmerge yields the handoffs of several queues in canonical order. Each
+// queue must already be in that order — one trunk's handoffs carry
+// increasing seq and nondecreasing arrival, which the boundary export
+// callback enforces — so a binary heap of queue indices, keyed by each
+// queue's head, merges them in O(n log k) without sorting. Its slices
+// are reused across barriers.
+type kmerge struct {
+	qs   [][]handoff // unread remainder of each queue
+	heap []int       // indices of the nonempty queues
+}
+
+// reset starts a merge over qs, which it does not modify.
+func (m *kmerge) reset(qs [][]handoff) {
+	m.qs = append(m.qs[:0], qs...)
+	m.heap = m.heap[:0]
+	for q, hs := range qs {
+		if len(hs) > 0 {
+			m.heap = append(m.heap, q)
+		}
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+}
+
+// next returns the next handoff in canonical order and the queue it
+// came from, or nil once every queue is drained.
+func (m *kmerge) next() (int, *handoff) {
+	if len(m.heap) == 0 {
+		return -1, nil
+	}
+	q := m.heap[0]
+	h := &m.qs[q][0]
+	if m.qs[q] = m.qs[q][1:]; len(m.qs[q]) == 0 {
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
+	}
+	m.down(0)
+	return q, h
+}
+
+func (m *kmerge) less(i, j int) bool {
+	return handoffBefore(&m.qs[m.heap[i]][0], &m.qs[m.heap[j]][0])
+}
+
+func (m *kmerge) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(m.heap) {
+			return
+		}
+		if r := c + 1; r < len(m.heap) && m.less(r, c) {
+			c = r
+		}
+		if !m.less(c, i) {
+			return
+		}
+		m.heap[i], m.heap[c] = m.heap[c], m.heap[i]
+		i = c
+	}
 }
 
 // ShardLookaheadCheck is a test-only debug hook: when non-nil it is
@@ -183,18 +246,73 @@ var ShardLookaheadCheck func(shard int, clockNow, arrival sim.Time)
 // boundary is one cut-trunk direction: the egress link lives on the
 // source shard (serialization, queueing, drops and loss all happen
 // there, on the source clock), and completed serializations append to
-// queue, drained by the coordinator at barriers. The queue is touched
-// by the source shard's goroutine during windows and by the coordinator
-// between windows; the WaitGroup barrier orders the two, so no lock is
-// needed.
+// queue and their frames to frames, both drained by the coordinator at
+// barriers. They are touched by the source shard's goroutine during
+// windows and by the coordinator between windows; the barrier's
+// channel handshake orders the two, so no lock is needed.
 type boundary struct {
 	link      *Link
-	from, to  int
-	dstSw     SwitchID
+	to        int      // destination shard
+	dstSw     *gswitch // ingress switch on the destination shard
 	seq       uint64
+	last      sim.Time // latest exported arrival
 	queue     []handoff
+	frames    []handoffFrame // FIFO of the queued handoffs' frames
+	taken     int            // frames imported at the current barrier
 	exported  uint64
 	highWater int
+}
+
+// importer is one destination shard's import state. At each barrier
+// the coordinator copies the frames it imports into slab and schedules
+// one slot per handoff; every slot fires inside the following window
+// (its arrival is at most the window end), so the next barrier can
+// reset slab and reuse the slots. fired counts deliveries to check
+// that.
+type importer struct {
+	g     *GraphFabric
+	slab  []handoffFrame
+	slots []*importSlot
+	used  int // slots scheduled at the last barrier
+	fired int // of those, delivered so far
+}
+
+// importSlot delivers one imported handoff: n frames at off in the
+// importer's slab, entering the destination shard at sw. fire is bound
+// once, when the slot is created, so scheduling it never allocates.
+type importSlot struct {
+	im     *importer
+	sw     *gswitch
+	off, n int
+	fire   func()
+}
+
+// slot returns the next free slot, bound to the given delivery.
+func (im *importer) slot(sw *gswitch, off, n int) *importSlot {
+	if im.used == len(im.slots) {
+		s := &importSlot{im: im}
+		s.fire = s.deliver
+		im.slots = append(im.slots, s)
+	}
+	s := im.slots[im.used]
+	im.used++
+	s.sw, s.off, s.n = sw, off, n
+	return s
+}
+
+// deliver re-materializes the slot's frames from the destination
+// shard's pool and routes them from the ingress switch.
+func (s *importSlot) deliver() {
+	im := s.im
+	for i := s.off; i < s.off+s.n; i++ {
+		hf := &im.slab[i]
+		f := im.g.pool.Get()
+		f.Src, f.Dst, f.Size = hf.src, hf.dst, hf.size
+		f.Payload, f.Priority, f.Circ = hf.payload, hf.priority, hf.circ
+		hf.payload = nil // the frame owns it now
+		im.g.routeFrom(s.sw, f)
+	}
+	im.fired++
 }
 
 // nodeInfo is the sharded fabric's global registry entry for an
@@ -229,8 +347,17 @@ type ShardedFabric struct {
 	boundaries []*boundary
 	nodes      map[NodeID]nodeInfo
 
-	imported uint64
-	scratch  []handoff // per-barrier merge buffer, reused
+	importers []importer // one per shard
+	imported  uint64
+	eligible  [][]handoff // per-boundary eligible prefixes, reused
+	merge     kmerge
+
+	// starts feeds window ends to the workers running shards 1..n-1
+	// during RunWindows; each reports on done when its shard reaches
+	// the end, and on exited when RunWindows closes its start channel.
+	starts []chan sim.Time
+	done   chan struct{}
+	exited sync.WaitGroup
 
 	// window, when nonzero, overrides plan.Lookahead as the barrier
 	// stride. Scenario engines set it to a partition-independent value
@@ -273,6 +400,7 @@ func NewShardedFabric(spec GraphSpec, plan ShardPlan, clocks []*sim.Clock, rng *
 	// topology. order is the global order so unpinned nodes hash to the
 	// same home switch as on the unsharded fabric.
 	sf.shards = make([]*GraphFabric, plan.Shards)
+	sf.importers = make([]importer, plan.Shards)
 	for i := range sf.shards {
 		g := &GraphFabric{
 			clock:    clocks[i],
@@ -299,6 +427,7 @@ func NewShardedFabric(spec GraphSpec, plan ShardPlan, clocks []*sim.Clock, rng *
 			sf.nodes[id] = nodeInfo{shard: shard, home: home, port: p}
 		}
 		sf.shards[i] = g
+		sf.importers[i].g = g
 	}
 	for sw, shard := range plan.Assign {
 		g := sf.shards[shard]
@@ -328,21 +457,25 @@ func NewShardedFabric(spec GraphSpec, plan ShardPlan, clocks []*sim.Clock, rng *
 				lnk = NewLink(trunkName(a, b), g.clock, lc, &switchIngress{g: g, sw: g.switches[b]})
 			} else {
 				lnk = NewLink(trunkName(a, b), g.clock, lc, deadEnd{name: trunkName(a, b)})
-				bd := &boundary{link: lnk, from: from, to: to, dstSw: b}
+				bd := &boundary{link: lnk, to: to, dstSw: sf.shards[to].switches[b]}
 				pool := g.pool
 				clk := g.clock
 				lnk.setExport(func(fs []*Frame, arrival sim.Time) {
-					hf := make([]handoffFrame, len(fs))
-					for i, f := range fs {
-						hf[i] = handoffFrame{src: f.Src, dst: f.Dst, size: f.Size,
-							payload: f.Payload, priority: f.Priority, circ: f.Circ}
+					// The import merge relies on each boundary
+					// exporting in arrival order.
+					if arrival.Before(bd.last) {
+						panic(fmt.Sprintf("netem: boundary %q exported arrival %v after %v", lnk.name, arrival, bd.last))
+					}
+					bd.last = arrival
+					for _, f := range fs {
+						bd.frames = append(bd.frames, handoffFrame{src: f.Src, dst: f.Dst, size: f.Size,
+							payload: f.Payload, priority: f.Priority, circ: f.Circ})
 						f.Payload = nil // payload migrates; the frame dies here
 						pool.Put(f)
 					}
 					bd.queue = append(bd.queue, handoff{
 						arrival: arrival, origin: clk.Now(),
-						trunk: bd.link.name, seq: bd.seq,
-						dstSw: bd.dstSw, frames: hf,
+						trunk: lnk.name, seq: bd.seq, n: len(fs),
 					})
 					bd.seq++
 					bd.exported += uint64(len(fs))
@@ -497,6 +630,8 @@ func (sf *ShardedFabric) Idle() bool {
 // than one shard. Returning false stops the run at that barrier.
 // RunWindows returns the instant it stopped at.
 func (sf *ShardedFabric) RunWindows(horizon sim.Time, barrier func(now sim.Time) bool) sim.Time {
+	sf.startWorkers()
+	defer sf.stopWorkers()
 	w := sim.Time(0)
 	for {
 		if barrier != nil && !barrier(w) {
@@ -522,77 +657,108 @@ func (sf *ShardedFabric) RunWindows(horizon sim.Time, barrier func(now sim.Time)
 }
 
 // importUpTo drains every boundary's handoffs with arrival ≤ end,
-// merge-sorts them into the canonical order, and schedules their
+// k-way merges them into the canonical order, and schedules their
 // deliveries on the destination shards. Delivery stats are credited to
 // the egress link here, at the barrier, while its owning shard is
 // parked — crediting them inside the destination shard's window would
 // race with the source shard serializing more frames.
 func (sf *ShardedFabric) importUpTo(end sim.Time) {
-	eligible := sf.scratch[:0]
+	for i := range sf.importers {
+		im := &sf.importers[i]
+		if im.fired != im.used {
+			panic(fmt.Sprintf("netem: shard %d has %d of %d imports pending at a barrier", i, im.used-im.fired, im.used))
+		}
+		im.used, im.fired = 0, 0
+		im.slab = im.slab[:0]
+	}
+	eligible := sf.eligible[:0]
 	for _, b := range sf.boundaries {
 		n := 0
 		for n < len(b.queue) && !b.queue[n].arrival.After(end) {
 			n++
 		}
-		if n == 0 {
-			continue
-		}
-		for _, h := range b.queue[:n] {
-			cells := uint64(len(h.frames))
-			var bytes units.DataSize
-			for _, hf := range h.frames {
-				bytes += hf.size
-			}
-			b.link.stats.CellsDelivered += cells
-			b.link.stats.TrainsDelivered++
-			b.link.stats.BytesOut += bytes
-			eligible = append(eligible, h)
-		}
-		rest := copy(b.queue, b.queue[n:])
-		for i := rest; i < len(b.queue); i++ {
-			b.queue[i] = handoff{}
-		}
-		b.queue = b.queue[:rest]
+		eligible = append(eligible, b.queue[:n])
 	}
-	sort.Slice(eligible, func(i, j int) bool { return handoffBefore(eligible[i], eligible[j]) })
-	for _, h := range eligible {
-		dst := sf.plan.Assign[h.dstSw]
-		g := sf.shards[dst]
+	sf.eligible = eligible
+
+	sf.merge.reset(eligible)
+	for q, h := sf.merge.next(); h != nil; q, h = sf.merge.next() {
+		b := sf.boundaries[q]
+		im := &sf.importers[b.to]
 		if ShardLookaheadCheck != nil {
-			ShardLookaheadCheck(dst, g.clock.Now(), h.arrival)
+			ShardLookaheadCheck(b.to, im.g.clock.Now(), h.arrival)
 		}
-		sf.imported += uint64(len(h.frames))
-		h := h
-		sw := g.switches[h.dstSw]
-		g.clock.AtOrigin(h.arrival, h.origin, func() {
-			for _, hf := range h.frames {
-				f := g.pool.Get()
-				f.Src, f.Dst, f.Size = hf.src, hf.dst, hf.size
-				f.Payload, f.Priority, f.Circ = hf.payload, hf.priority, hf.circ
-				g.routeFrom(sw, f)
-			}
-		})
+		// A boundary's handoffs leave the merge in queue order, so
+		// its next h.n unimported frames are this handoff's.
+		frames := b.frames[b.taken : b.taken+h.n]
+		b.taken += h.n
+		var bytes units.DataSize
+		for i := range frames {
+			bytes += frames[i].size
+		}
+		b.link.stats.CellsDelivered += uint64(h.n)
+		b.link.stats.TrainsDelivered++
+		b.link.stats.BytesOut += bytes
+		sf.imported += uint64(h.n)
+		s := im.slot(b.dstSw, len(im.slab), h.n)
+		im.slab = append(im.slab, frames...)
+		im.g.clock.AtOrigin(h.arrival, h.origin, s.fire)
 	}
-	sf.scratch = eligible[:0]
+
+	// Compact: drop the imported prefixes, clearing the vacated frame
+	// slots so their payloads can be collected.
+	for q, b := range sf.boundaries {
+		if n := len(eligible[q]); n > 0 {
+			b.queue = b.queue[:copy(b.queue, b.queue[n:])]
+			rest := copy(b.frames, b.frames[b.taken:])
+			clear(b.frames[rest:])
+			b.frames = b.frames[:rest]
+			b.taken = 0
+		}
+	}
 }
 
-// runWindow advances every shard to end, one goroutine per shard. With
-// one shard it runs inline — the single-shard engine pays no
-// synchronization cost.
+// startWorkers starts one goroutine per shard beyond the first; each
+// runs its shard's clock to every window end it receives.
+func (sf *ShardedFabric) startWorkers() {
+	sf.starts = make([]chan sim.Time, len(sf.shards)-1)
+	done := make(chan struct{}, len(sf.starts))
+	sf.done = done
+	for i := range sf.starts {
+		start, clock := make(chan sim.Time), sf.shards[i+1].clock
+		sf.starts[i] = start
+		sf.exited.Add(1)
+		go func() {
+			defer sf.exited.Done()
+			for end := range start {
+				clock.RunUntil(end)
+				done <- struct{}{}
+			}
+		}()
+	}
+}
+
+// stopWorkers stops the workers and waits for them to exit.
+func (sf *ShardedFabric) stopWorkers() {
+	for _, start := range sf.starts {
+		close(start)
+	}
+	sf.exited.Wait()
+	sf.starts = nil
+}
+
+// runWindow advances every shard to end: shard 0 on the calling
+// goroutine, the others on their workers. Parking the workers between
+// windows instead of spawning goroutines keeps a window allocation-
+// free; with one shard there is no worker and no synchronization cost.
 func (sf *ShardedFabric) runWindow(end sim.Time) {
-	if len(sf.shards) == 1 {
-		sf.shards[0].clock.RunUntil(end)
-		return
+	for _, start := range sf.starts {
+		start <- end
 	}
-	var wg sync.WaitGroup
-	for _, g := range sf.shards {
-		wg.Add(1)
-		go func(g *GraphFabric) {
-			defer wg.Done()
-			g.clock.RunUntil(end)
-		}(g)
+	sf.shards[0].clock.RunUntil(end)
+	for range sf.starts {
+		<-sf.done
 	}
-	wg.Wait()
 }
 
 // PathTransits returns the directed trunk links a frame from a to b

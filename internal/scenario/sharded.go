@@ -48,7 +48,7 @@ import (
 // sdownload is one logical transfer tracked by the sharded engine. The
 // done/doneAt/ttlb trio is written mid-window by the completing shard
 // (exactly one shard ever completes a given transfer) and read only at
-// barriers, after the window's WaitGroup join — the barrier is the
+// barriers, after the window's join — the barrier is the
 // happens-before edge, so no lock is needed.
 type sdownload struct {
 	index    int
