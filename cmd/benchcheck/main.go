@@ -2,7 +2,8 @@
 // headline benchmarks (the shared bodies in internal/benchcases) and
 // compares them against the latest committed BENCH_<n>.json snapshot.
 // It fails when allocs/op grows (the zero-alloc hot paths must report
-// exactly zero), on a ns/op regression beyond -tolerance on the
+// exactly zero), when events/op differs from a baseline that records
+// it, on a ns/op regression beyond -tolerance on the
 // per-layer microbenchmarks, or when a gated benchmark disappears — a
 // rename must not silently disarm the gate. The ns/op gate only arms
 // when the baseline was recorded on comparable hardware (same OS,
@@ -62,7 +63,7 @@ func run(dir, baselinePath string, tolerance float64) error {
 	}
 
 	cur := benchcases.Collect()
-	tbl := traceio.NewTable("benchmark", "base_ns_op", "ns_op", "delta", "base_allocs", "allocs")
+	tbl := traceio.NewTable("benchmark", "base_ns_op", "ns_op", "delta", "base_allocs", "allocs", "base_events", "events")
 	byName := make(map[string]benchcases.Result, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
 		byName[r.Name] = r
@@ -70,14 +71,14 @@ func run(dir, baselinePath string, tolerance float64) error {
 	for _, r := range cur.Benchmarks {
 		b, ok := byName[r.Name]
 		if !ok {
-			tbl.AddRowf(r.Name, "-", r.NsPerOp, "new", "-", r.AllocsPerOp)
+			tbl.AddRowf(r.Name, "-", r.NsPerOp, "new", "-", r.AllocsPerOp, "-", r.EventsPerOp)
 			continue
 		}
 		delta := "-"
 		if b.NsPerOp > 0 {
 			delta = fmt.Sprintf("%+.1f%%", (r.NsPerOp/b.NsPerOp-1)*100)
 		}
-		tbl.AddRowf(r.Name, b.NsPerOp, r.NsPerOp, delta, b.AllocsPerOp, r.AllocsPerOp)
+		tbl.AddRowf(r.Name, b.NsPerOp, r.NsPerOp, delta, b.AllocsPerOp, r.AllocsPerOp, b.EventsPerOp, r.EventsPerOp)
 	}
 	if err := tbl.WriteText(os.Stdout); err != nil {
 		return err

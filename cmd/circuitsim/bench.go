@@ -23,9 +23,9 @@ func runBench(args []string) error {
 	}
 
 	snap := benchcases.Collect()
-	tbl := traceio.NewTable("benchmark", "ns_op", "B_op", "allocs_op", "iters")
+	tbl := traceio.NewTable("benchmark", "ns_op", "B_op", "allocs_op", "events_op", "iters")
 	for _, res := range snap.Benchmarks {
-		tbl.AddRowf(res.Name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.Iterations)
+		tbl.AddRowf(res.Name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.EventsPerOp, res.Iterations)
 	}
 	if err := tbl.WriteText(os.Stdout); err != nil {
 		return err

@@ -10,6 +10,7 @@ func BenchmarkClockSchedule(b *testing.B)    { ClockSchedule(b) }
 func BenchmarkTimerRearm(b *testing.B)       { TimerRearm(b) }
 func BenchmarkLinkTransit(b *testing.B)      { LinkTransit(b) }
 func BenchmarkLinkTransitTrain(b *testing.B) { LinkTransitTrain(b) }
+func BenchmarkLinkInflight(b *testing.B)     { LinkInflight(b) }
 func BenchmarkStarTransit(b *testing.B)      { StarTransit(b) }
 func BenchmarkOnionWrap(b *testing.B)        { OnionWrap(b) }
 func BenchmarkOnionUnwrap(b *testing.B)      { OnionUnwrap(b) }

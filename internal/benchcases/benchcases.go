@@ -83,6 +83,51 @@ func LinkTransit(b *testing.B) {
 	}
 }
 
+// LinkInflight measures a frame's transit through a pooled link in a
+// deep steady state: the propagation delay holds 1,024 serialization
+// times, so about 1,024 frames are always in flight while one op sends
+// a frame and advances the clock one serialization time, delivering
+// one. It reports events/op (one serialization end and one delivery)
+// and CI fails if it allocates: however deep the in-flight FIFO, only
+// its head's delivery sits on the clock's heap, so the per-frame cost
+// must not grow with the number of frames in flight.
+func LinkInflight(b *testing.B) {
+	const depth = 1024
+	rate := units.Mbps(100)
+	tx := rate.TransmissionTime(512)
+	clock := sim.NewClock()
+	delivered := 0
+	link := netem.NewLink("bench", clock, netem.LinkConfig{
+		Rate: rate, Delay: depth * tx,
+	}, netem.HandlerFunc(func(f *netem.Frame) { delivered++ }))
+	pool := netem.NewFramePool()
+	link.UsePool(pool, true)
+	send := func() {
+		f := pool.Get()
+		f.Src, f.Dst, f.Size, f.Priority = "a", "b", 512, false
+		link.Send(f)
+		clock.RunUntil(clock.Now().Add(tx))
+	}
+	// Fill the pipe and grow the rings and the pool to the working set.
+	for i := 0; i < 2*depth; i++ {
+		send()
+	}
+	if delivered == 0 || 2*depth-delivered < depth {
+		b.Fatalf("warmup delivered %d of %d frames; want about %d in flight", delivered, 2*depth, depth)
+	}
+	start, before := clock.Processed(), delivered
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+	b.StopTimer()
+	if delivered-before != b.N {
+		b.Fatalf("delivered %d frames in %d steady-state ops", delivered-before, b.N)
+	}
+	b.ReportMetric(float64(clock.Processed()-start)/float64(b.N), "events/op")
+}
+
 // trainSink is a TrainHandler that counts batched and single deliveries
 // without allocating.
 type trainSink struct{ cells, trains int }
@@ -291,6 +336,7 @@ func SingleTransfer(b *testing.B) {
 	if !c.Done() {
 		b.Fatal("warmup transfer incomplete")
 	}
+	start := clock.Processed()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -300,4 +346,6 @@ func SingleTransfer(b *testing.B) {
 			b.Fatal("incomplete")
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(clock.Processed()-start)/float64(b.N), "events/op")
 }

@@ -24,6 +24,7 @@ var Headline = []struct {
 	{"timer_rearm", TimerRearm},
 	{"link_transit", LinkTransit},
 	{"link_transit_train", LinkTransitTrain},
+	{"link_inflight", LinkInflight},
 	{"star_transit", StarTransit},
 	{"onion_wrap", OnionWrap},
 	{"onion_unwrap", OnionUnwrap},
@@ -34,14 +35,25 @@ var Headline = []struct {
 	{"sharded_churn_4shard", ShardedChurn4},
 }
 
-// Result is one benchmark's measurement in a snapshot.
+// Result is one benchmark's measurement in a snapshot. EventsPerOp is
+// the clock events one op fires (sim.Clock.Processed), recorded by the
+// benchmarks that report an "events/op" metric and absent otherwise
+// (and in schema v1 snapshots).
 type Result struct {
 	Name        string  `json:"name"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	EventsPerOp float64 `json:"events_per_op,omitempty"`
 }
+
+// Snapshot schemas: v2 added events_per_op. Both stay readable, so a
+// v1 baseline still gates time and allocations.
+const (
+	schemaV1 = "circuitsim-bench/v1"
+	schemaV2 = "circuitsim-bench/v2"
+)
 
 // Snapshot is the BENCH_<n>.json schema: enough environment to
 // interpret the numbers, plus the headline benchmarks in fixed order.
@@ -59,7 +71,7 @@ type Snapshot struct {
 // returns the populated snapshot.
 func Collect() Snapshot {
 	snap := Snapshot{
-		Schema:    "circuitsim-bench/v1",
+		Schema:    schemaV2,
 		Date:      time.Now().UTC().Format("2006-01-02"),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
@@ -74,6 +86,7 @@ func Collect() Snapshot {
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
+			EventsPerOp: r.Extra["events/op"],
 		})
 	}
 	return snap
@@ -120,8 +133,8 @@ func ReadSnapshot(path string) (Snapshot, error) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return Snapshot{}, fmt.Errorf("benchcases: %s: %w", path, err)
 	}
-	if snap.Schema != "circuitsim-bench/v1" {
-		return Snapshot{}, fmt.Errorf("benchcases: %s has schema %q, want circuitsim-bench/v1", path, snap.Schema)
+	if snap.Schema != schemaV1 && snap.Schema != schemaV2 {
+		return Snapshot{}, fmt.Errorf("benchcases: %s has schema %q, want %s or %s", path, snap.Schema, schemaV1, schemaV2)
 	}
 	return snap, nil
 }
@@ -134,7 +147,7 @@ func ReadSnapshot(path string) (Snapshot, error) {
 // the whole-trial profiles.
 var zeroAllocGated = map[string]bool{
 	"clock_schedule": true, "timer_rearm": true, "link_transit": true,
-	"link_transit_train": true, "star_transit": true,
+	"link_transit_train": true, "link_inflight": true, "star_transit": true,
 	"onion_wrap": true, "onion_unwrap": true,
 	"scheduler_enqueue_dequeue": true, "shard_handoff": true,
 }
@@ -161,6 +174,9 @@ var nsGated = map[string]bool{
 //   - the zero-alloc set must report exactly zero allocs/op, and the
 //     remaining benchmarks must not grow allocs/op beyond 1% (noise
 //     headroom for seed-averaged whole-workload profiles);
+//   - a benchmark whose baseline records events/op must fire exactly
+//     as many clock events per op: the count is deterministic, and a
+//     change in it is a change in simulated behavior, not noise;
 //   - ns/op on the gated set must not regress by more than
 //     nsTolerance (e.g. 0.30 = +30%). A negative nsTolerance disables
 //     the ns/op gate entirely — the caller's signal that the baseline
@@ -189,6 +205,9 @@ func Compare(baseline, current Snapshot, nsTolerance float64) []string {
 			// while still catching real regressions, which arrive in
 			// thousands (the pooling work was a 9× reduction).
 			findings = append(findings, fmt.Sprintf("%s: allocs/op rose %d → %d (>1%%)", base.Name, base.AllocsPerOp, now.AllocsPerOp))
+		}
+		if base.EventsPerOp > 0 && now.EventsPerOp != base.EventsPerOp {
+			findings = append(findings, fmt.Sprintf("%s: events/op changed %g → %g", base.Name, base.EventsPerOp, now.EventsPerOp))
 		}
 		if nsTolerance >= 0 && nsGated[base.Name] && base.NsPerOp > 0 {
 			ratio := now.NsPerOp / base.NsPerOp

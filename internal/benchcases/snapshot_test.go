@@ -9,7 +9,7 @@ import (
 )
 
 func snap(results ...Result) Snapshot {
-	return Snapshot{Schema: "circuitsim-bench/v1", Benchmarks: results}
+	return Snapshot{Schema: schemaV2, Benchmarks: results}
 }
 
 func TestComparePasses(t *testing.T) {
@@ -68,6 +68,29 @@ func TestCompareAllocGates(t *testing.T) {
 	cur = snap(Result{Name: "single_transfer", NsPerOp: 100, AllocsPerOp: 505})
 	if findings := Compare(base, cur, 0.30); len(findings) != 0 {
 		t.Fatalf("1%% alloc headroom not applied: %v", findings)
+	}
+}
+
+func TestCompareEventsPerOp(t *testing.T) {
+	// A baseline that records events/op pins it exactly, in either
+	// direction.
+	base := snap(Result{Name: "single_transfer", NsPerOp: 100, AllocsPerOp: 5, EventsPerOp: 8072})
+	for _, ev := range []float64{8071, 8073, 0} {
+		cur := snap(Result{Name: "single_transfer", NsPerOp: 100, AllocsPerOp: 5, EventsPerOp: ev})
+		findings := Compare(base, cur, 0.30)
+		if len(findings) != 1 || !strings.Contains(findings[0], "events/op") {
+			t.Fatalf("events/op %g: findings = %v", ev, findings)
+		}
+	}
+	cur := snap(Result{Name: "single_transfer", NsPerOp: 100, AllocsPerOp: 5, EventsPerOp: 8072})
+	if findings := Compare(base, cur, 0.30); len(findings) != 0 {
+		t.Fatalf("equal events/op flagged: %v", findings)
+	}
+	// A baseline without the field (schema v1, or a benchmark that does
+	// not count events) leaves it ungated.
+	base = snap(Result{Name: "single_transfer", NsPerOp: 100, AllocsPerOp: 5})
+	if findings := Compare(base, cur, 0.30); len(findings) != 0 {
+		t.Fatalf("events/op gated without a baseline value: %v", findings)
 	}
 }
 
@@ -133,6 +156,15 @@ func TestReadSnapshot(t *testing.T) {
 	}
 	if len(s.Benchmarks) != 1 || s.Benchmarks[0].Name != "clock_schedule" {
 		t.Fatalf("snapshot = %+v", s)
+	}
+
+	// Schema v1 snapshots predate events_per_op and stay readable.
+	v1 := filepath.Join(dir, "BENCH_0.json")
+	if err := os.WriteFile(v1, []byte(`{"schema":"circuitsim-bench/v1","benchmarks":[{"name":"link_transit","ns_per_op":120}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := ReadSnapshot(v1); err != nil || len(s.Benchmarks) != 1 || s.Benchmarks[0].EventsPerOp != 0 {
+		t.Fatalf("v1 snapshot = %+v, %v", s, err)
 	}
 
 	bad := filepath.Join(dir, "bad.json")

@@ -85,6 +85,9 @@ func (g *GilbertElliott) Bad() bool { return g.bad }
 // in-flight FIFO discipline is preserved under arbitrary jitter.
 type JitterModel interface {
 	// Extra returns the additional one-way delay for the next delivery.
+	// It must not be negative: the clamp orders jittered deliveries
+	// among themselves, and a nonnegative extra keeps the first of them
+	// behind unjittered frames already in flight.
 	Extra() time.Duration
 }
 

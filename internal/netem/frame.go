@@ -46,6 +46,14 @@ type Frame struct {
 	Circ uint32
 
 	enqueuedAt sim.Time // set by Link for queue-delay accounting
+
+	// deliverAt and deliverKey stamp the head of an in-flight batch (an
+	// untrained frame, or a train's first survivor) with its delivery
+	// instant and the clock key reserved at serialization end. The
+	// link arms the delivery event from them once the batch reaches
+	// the head of its in-flight FIFO, and clears them on delivery.
+	deliverAt  sim.Time
+	deliverKey sim.Stamp
 }
 
 // FramePool recycles Frame objects so the per-frame hot path of a fabric
@@ -246,6 +254,13 @@ func (r *frameRing) push(f *Frame) {
 	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = f
 	r.n++
+}
+
+func (r *frameRing) peek() *Frame {
+	if r.n == 0 {
+		return nil
+	}
+	return r.buf[r.head]
 }
 
 func (r *frameRing) pop() *Frame {

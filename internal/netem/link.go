@@ -122,9 +122,11 @@ func (s *LinkStats) Merge(o LinkStats) {
 // callbacks (serialization complete, propagation complete) are bound
 // once at construction, the serializer's current frame lives in a field,
 // and frames past the serializer wait in a FIFO ring — propagation delay
-// is constant per link, so deliveries complete in the order they were
-// scheduled. Together with ring-buffered queues and a FramePool this
-// makes the transit of a frame allocation-free.
+// is constant per link, so deliveries complete in FIFO order. The ring
+// is the link's delivery queue: only its head's delivery event is on
+// the clock, however many frames are in flight (see onDeliver).
+// Together with ring-buffered queues and a FramePool this makes the
+// transit of a frame allocation-free.
 type Link struct {
 	name  string
 	clock *sim.Clock
@@ -417,29 +419,29 @@ func (l *Link) lossDraws() bool {
 	return lost
 }
 
-// scheduleDeliver schedules the propagation-complete event for the frame
-// or train just pushed in flight. With jitter installed, delivery
-// instants are clamped monotone so the in-flight FIFO pop discipline
-// survives arbitrary extra delay (equal instants fire in scheduling
-// order on the sim clock).
-func (l *Link) scheduleDeliver() {
-	if l.jitter == nil && l.lastDeliverAt == 0 {
-		l.clock.After(l.cfg.Delay, l.deliverFn)
-		return
+// stampDelivery stamps head — a frame, or a train's first survivor,
+// just pushed in flight — with its delivery instant and a reserved
+// clock key, and arms the delivery event when head's batch is the only
+// one in flight. The key is the one At would assign right now, so the
+// delivery fires exactly where scheduling it here would have put it;
+// the other batches in flight stay off the clock's heap until they
+// reach the FIFO head (see onDeliver).
+func (l *Link) stampDelivery(head *Frame, only bool) {
+	head.deliverAt = l.arrival()
+	head.deliverKey = l.clock.Stamp()
+	if only {
+		l.clock.AtStamp(head.deliverAt, head.deliverKey, l.deliverFn)
 	}
-	// Once any delivery has been jitter-scheduled, stay on the clamped
-	// path even after the model is removed: a spike-delayed frame may
-	// still be in flight, and an unclamped successor would overtake it.
-	extra := time.Duration(0)
-	if l.jitter != nil {
-		extra = l.jitter.Extra()
+}
+
+// armNext clears the stamps of done, the head of the batch just popped
+// for delivery, and arms the delivery of the batch now at the in-flight
+// FIFO head, if any, under the key it was stamped with.
+func (l *Link) armNext(done *Frame) {
+	done.deliverAt, done.deliverKey = 0, sim.Stamp{}
+	if next := l.inflight.peek(); next != nil {
+		l.clock.AtStamp(next.deliverAt, next.deliverKey, l.deliverFn)
 	}
-	at := l.clock.Now().Add(l.cfg.Delay + extra)
-	if at.Before(l.lastDeliverAt) {
-		at = l.lastDeliverAt
-	}
-	l.lastDeliverAt = at
-	l.clock.At(at, l.deliverFn)
 }
 
 // setExport installs the shard-boundary export callback (see the export
@@ -447,14 +449,18 @@ func (l *Link) scheduleDeliver() {
 // traffic flows.
 func (l *Link) setExport(fn func(fs []*Frame, arrival sim.Time)) { l.export = fn }
 
-// exportArrival computes the delivery instant an exported frame or
-// train would have had locally: now + Delay, with the same monotone
-// jitter clamp scheduleDeliver applies, so a jittered boundary link
-// exports in delivery order.
-func (l *Link) exportArrival() sim.Time {
+// arrival computes the delivery instant of the frame or train whose
+// serialization just ended: now + Delay. With jitter installed the
+// instants are clamped monotone, so the in-flight FIFO — and a
+// boundary link's export stream — stays in delivery order under
+// arbitrary extra delay.
+func (l *Link) arrival() sim.Time {
 	if l.jitter == nil && l.lastDeliverAt == 0 {
 		return l.clock.Now().Add(l.cfg.Delay)
 	}
+	// Once any delivery has been jitter-scheduled, stay on the clamped
+	// path even after the model is removed: a spike-delayed frame may
+	// still be in flight, and an unclamped successor would overtake it.
 	extra := time.Duration(0)
 	if l.jitter != nil {
 		extra = l.jitter.Extra()
@@ -488,21 +494,27 @@ func (l *Link) onTxDone() {
 		l.pool.Put(f)
 	case l.export != nil:
 		l.deliverBuf = append(l.deliverBuf[:0], f)
-		l.export(l.deliverBuf, l.exportArrival())
+		l.export(l.deliverBuf, l.arrival())
 		l.deliverBuf[0] = nil
 		l.deliverBuf = l.deliverBuf[:0]
 	default:
 		l.inflight.push(f)
-		l.scheduleDeliver()
+		l.stampDelivery(f, l.inflight.len() == 1)
 	}
 	l.transmitNext()
 }
 
 // onDeliver completes the propagation of the oldest in-flight frame.
-// Delay is fixed per link and serialization completions are ordered, so
-// the FIFO head is always the frame this event was scheduled for.
+// Only the FIFO head's delivery is ever on the clock: delivery instants
+// and reserved keys are nondecreasing along the FIFO (fixed Delay,
+// ordered serialization ends, the jitter clamp), so the head's key is
+// the earliest of them and arming each successor as its predecessor
+// fires reproduces the order of scheduling every delivery up front. The
+// successor is armed first, so the clock's pop-push fusion reuses this
+// event's heap slot for it.
 func (l *Link) onDeliver() {
 	f := l.inflight.pop()
+	l.armNext(f)
 	l.stats.CellsDelivered++
 	l.stats.TrainsDelivered++
 	l.stats.BytesOut += f.Size
@@ -651,6 +663,7 @@ done:
 // schedules no delivery at all.
 func (l *Link) onTxDoneTrain() {
 	survived := 0
+	var head *Frame
 	batch := l.deliverBuf[:0]
 	for i, f := range l.train {
 		lost := l.lossDraws()
@@ -671,6 +684,9 @@ func (l *Link) onTxDoneTrain() {
 			batch = append(batch, f)
 			survived++
 		default:
+			if head == nil {
+				head = f
+			}
 			l.inflight.push(f)
 			survived++
 		}
@@ -681,21 +697,22 @@ func (l *Link) onTxDoneTrain() {
 		switch {
 		case l.export != nil:
 			l.deliverBuf = batch
-			l.export(batch, l.exportArrival())
+			l.export(batch, l.arrival())
 			for i := range batch {
 				batch[i] = nil
 			}
 			l.deliverBuf = l.deliverBuf[:0]
 		default:
 			l.survivors.push(survived)
-			l.scheduleDeliver()
+			l.stampDelivery(head, l.survivors.len() == 1)
 		}
 	}
 	l.transmitTrain()
 }
 
 // onDeliverTrain completes the propagation of the oldest in-flight
-// train: its surviving members leave the FIFO as one batch. A
+// train: its surviving members leave the FIFO as one batch, and the
+// next train's first survivor arms its delivery (see onDeliver). A
 // destination that implements TrainHandler receives the whole batch in
 // a single call (relays use this to amortize per-circuit lookups);
 // otherwise members are handed over one Deliver at a time, in order.
@@ -708,6 +725,7 @@ func (l *Link) onDeliverTrain() {
 		batch = append(batch, f)
 		bytes += f.Size
 	}
+	l.armNext(batch[0])
 	l.deliverBuf = batch
 	l.stats.CellsDelivered += uint64(n)
 	l.stats.TrainsDelivered++
@@ -738,6 +756,8 @@ type countRing struct {
 	head int
 	n    int
 }
+
+func (r *countRing) len() int { return r.n }
 
 func (r *countRing) push(v int) {
 	if r.n == len(r.buf) {

@@ -39,9 +39,21 @@ type Identity struct {
 	priv *ecdh.PrivateKey
 }
 
-// NewIdentity generates a relay identity from the given entropy source.
+// newX25519Key draws a private key from exactly 32 bytes of rand.
+// ecdh's GenerateKey may read one extra byte at random, so keys drawn
+// from a seeded reader would differ from process to process.
+func newX25519Key(rand io.Reader) (*ecdh.PrivateKey, error) {
+	var seed [32]byte
+	if _, err := io.ReadFull(rand, seed[:]); err != nil {
+		return nil, err
+	}
+	return ecdh.X25519().NewPrivateKey(seed[:])
+}
+
+// NewIdentity generates a relay identity from the given entropy source,
+// reading exactly 32 bytes: the same reader state yields the same key.
 func NewIdentity(rand io.Reader) (*Identity, error) {
-	priv, err := ecdh.X25519().GenerateKey(rand)
+	priv, err := newX25519Key(rand)
 	if err != nil {
 		return nil, fmt.Errorf("onion: generating identity: %w", err)
 	}
@@ -124,9 +136,10 @@ var (
 
 // ClientHandshake initiates key establishment with a relay identified by
 // relayPub. It returns the client's hop keys and the CREATE payload to
-// send to the relay (the client's ephemeral public key).
+// send to the relay (the client's ephemeral public key). The ephemeral
+// key consumes exactly 32 bytes of rand.
 func ClientHandshake(rand io.Reader, relayPub []byte) (*HopKeys, []byte, error) {
-	eph, err := ecdh.X25519().GenerateKey(rand)
+	eph, err := newX25519Key(rand)
 	if err != nil {
 		return nil, nil, fmt.Errorf("onion: ephemeral key: %w", err)
 	}

@@ -367,3 +367,42 @@ func TestPropertyBackwardFromAnyHop(t *testing.T) {
 		}
 	}
 }
+
+// countingReader counts the bytes drawn from a seeded stream.
+type countingReader struct {
+	r *mrand.Rand
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.n += len(p)
+	return c.r.Read(p)
+}
+
+func TestKeysReproducibleFromSeededReader(t *testing.T) {
+	// The same seeded reader must yield the same relay identity and the
+	// same CREATE payload every time, consuming exactly 32 bytes per
+	// key: a stray extra draw would make keys differ between runs.
+	var wantPub, wantCreate []byte
+	for i := 0; i < 32; i++ {
+		rd := &countingReader{r: mrand.New(mrand.NewSource(42))}
+		id, err := NewIdentity(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, create, err := ClientHandshake(rd, id.Public())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.n != 64 {
+			t.Fatalf("run %d drew %d bytes for two keys, want 64", i, rd.n)
+		}
+		if i == 0 {
+			wantPub, wantCreate = id.Public(), create
+			continue
+		}
+		if !bytes.Equal(id.Public(), wantPub) || !bytes.Equal(create, wantCreate) {
+			t.Fatalf("run %d derived different keys from the same seeded reader", i)
+		}
+	}
+}

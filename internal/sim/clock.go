@@ -9,16 +9,27 @@
 // The design mirrors the event core of ns-3 (which the paper's nstor
 // framework builds on): a priority queue of timestamped events, a strictly
 // monotone clock, and stable FIFO ordering for events scheduled at the
-// same instant. Determinism is a hard requirement — given the same seed,
-// every experiment in this repository reproduces byte-identical traces.
+// same instant. Events fire in the total order (at, origin, seq): instant,
+// then the instant the scheduling call was made, then a per-clock
+// sequence number. Determinism is a hard requirement — given the same
+// seed, every experiment in this repository reproduces byte-identical
+// traces.
 //
-// The scheduler is built for an allocation-free steady state: the
-// priority queue is an inlined 4-ary min-heap specialized to the event
-// type (shallower than a binary heap, and the four-child comparison loop
-// stays in cache), fired and cancelled events are recycled through a
-// per-clock free list, and cancellation removes the event from the heap
-// immediately, so long runs that arm and disarm millions of timers never
-// inflate the queue with dead entries.
+// The scheduler is built for an allocation-free steady state and a small
+// heap:
+//
+//   - The priority queue is an inlined 4-ary min-heap specialized to the
+//     event type, with each event's sort key stored next to its pointer.
+//     Fired and cancelled events are recycled through a per-clock free
+//     list, and cancellation removes the event from the heap at once.
+//   - A Stamp reserves an (origin, seq) key now for an event scheduled
+//     later with AtStamp. A stream of events whose keys are nondecreasing
+//     — a link's in-flight frames — then keeps only its head in the heap:
+//     the minimum of all pending keys is always in the heap, so firing
+//     order is exactly what scheduling every member up front would give.
+//   - RunUntil fuses each event's pop with the first event its callback
+//     schedules: the fired root stays in the heap as an inert placeholder
+//     that the callback's first schedule overwrites and sifts down once.
 package sim
 
 import (
@@ -84,10 +95,11 @@ type event struct {
 }
 
 // heapSlot is one heap entry: the event's sort key inlined next to its
-// pointer. Keeping (at, seq) in the heap's own backing array means the
-// sift loops compare against contiguous memory instead of dereferencing
-// a scattered *event per comparison — on transfer-heavy runs the heap
-// is the single hottest structure and those misses dominated it.
+// pointer. Keeping (at, origin, seq) in the heap's own backing array
+// means the sift loops compare against contiguous memory instead of
+// dereferencing a scattered *event per comparison — on transfer-heavy
+// runs the heap is the single hottest structure and those misses
+// dominated it.
 type heapSlot struct {
 	at     Time
 	origin Time
@@ -120,11 +132,16 @@ func slotLess(a, b heapSlot) bool {
 // which is what makes runs reproducible.
 type Clock struct {
 	now     Time
-	queue   []heapSlot // 4-ary min-heap ordered by (at, seq)
+	queue   []heapSlot // 4-ary min-heap ordered by (at, origin, seq)
 	seq     uint64
 	free    *event // recycled events awaiting reuse
 	running bool
 	stopped bool
+	// fired marks queue[0] as the inert slot of the event RunUntil is
+	// executing: the callback's first heapPush overwrites it (pop-push
+	// fusion), and RunUntil drops it if the callback schedules nothing.
+	// Its key is the minimum of the heap, so no sift ever moves it.
+	fired bool
 
 	processed uint64
 }
@@ -145,7 +162,13 @@ func (c *Clock) Processed() uint64 { return c.processed }
 // Pending returns the number of events currently scheduled. Cancelled
 // events are removed from the queue immediately, so the count is exact —
 // long transport runs that cancel many RTO timers do not inflate it.
-func (c *Clock) Pending() int { return len(c.queue) }
+// Inside a callback, the firing event no longer counts.
+func (c *Clock) Pending() int {
+	if c.fired {
+		return len(c.queue) - 1
+	}
+	return len(c.queue)
+}
 
 // Next returns the instant of the earliest pending event and whether
 // one exists. The sharded engine uses it as the horizon probe: a shard
@@ -153,10 +176,24 @@ func (c *Clock) Pending() int { return len(c.queue) }
 // and a trial whose shards are all idle (with empty boundary queues)
 // has quiesced and may stop at the barrier.
 func (c *Clock) Next() (Time, bool) {
-	if len(c.queue) == 0 {
+	if !c.fired {
+		if len(c.queue) == 0 {
+			return 0, false
+		}
+		return c.queue[0].at, true
+	}
+	// Inside a callback, before it has scheduled anything: the earliest
+	// pending event is one of the fired root's children.
+	if len(c.queue) == 1 {
 		return 0, false
 	}
-	return c.queue[0].at, true
+	min := 1
+	for j := 2; j < len(c.queue) && j <= 4; j++ {
+		if slotLess(c.queue[j], c.queue[min]) {
+			min = j
+		}
+	}
+	return c.queue[min].at, true
 }
 
 // Handle identifies a scheduled event and allows cancelling it. The zero
@@ -247,14 +284,59 @@ func (c *Clock) AtOrigin(t, origin Time, fn func()) Handle {
 }
 
 func (c *Clock) schedule(t, origin Time, fn func()) Handle {
+	h := c.scheduleKey(t, origin, c.seq, fn)
+	c.seq++
+	return h
+}
+
+func (c *Clock) scheduleKey(t, origin Time, seq uint64, fn func()) Handle {
 	ev := c.alloc()
 	ev.at = t
 	ev.origin = origin
-	ev.seq = c.seq
+	ev.seq = seq
 	ev.fn = fn
-	c.seq++
 	c.heapPush(ev)
 	return Handle{ev: ev, gen: ev.gen}
+}
+
+// Stamp is an ordering key reserved on a Clock: the (origin, seq) pair
+// an event scheduled at this moment would get. The zero Stamp is a
+// valid key (the first one a fresh clock issues).
+type Stamp struct {
+	origin Time
+	seq    uint64
+}
+
+// Stamp reserves the ordering key At would assign at this instant,
+// consuming the next sequence number exactly as At would. Scheduling
+// the event later with AtStamp fires it exactly where At, called now,
+// would have. This lets a stream of events with nondecreasing instants
+// — a link's in-flight frames — keep only its head on the heap: every
+// other member's reserved key sorts after the head's, so the earliest
+// pending key is always in the heap.
+func (c *Clock) Stamp() Stamp {
+	s := Stamp{origin: c.now, seq: c.seq}
+	c.seq++
+	return s
+}
+
+// AtStamp schedules fn at the absolute instant t under a key reserved
+// earlier with Stamp. It consumes no sequence number. Like At it panics
+// on an instant before now or a nil fn, and like AtOrigin on a stamp
+// whose origin lies after t. The caller must schedule a stamped event
+// before any event with a larger key fires, which a stream guarantees
+// by arming its next head when the previous one fires.
+func (c *Clock) AtStamp(t Time, s Stamp, fn func()) Handle {
+	if t < c.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v which is before now %v", t, c.now))
+	}
+	if s.origin > t {
+		panic(fmt.Sprintf("sim: event origin %v after its instant %v", s.origin, t))
+	}
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+	return c.scheduleKey(t, s.origin, s.seq, fn)
 }
 
 // After schedules fn to run d after the current instant.
@@ -321,22 +403,28 @@ func (c *Clock) RunUntil(horizon Time) Time {
 	}
 	c.running = true
 	c.stopped = false
-	defer func() { c.running = false }()
+	defer c.endRun()
 
 	for len(c.queue) > 0 && !c.stopped {
-		next := c.queue[0]
-		if next.at > horizon {
+		at, ev := c.queue[0].at, c.queue[0].ev
+		if at > horizon {
 			c.now = horizon
 			return c.now
 		}
-		c.heapPop()
-		fn := next.ev.fn
-		c.now = next.at
+		// Pop-push fusion: the root stays in place as an inert slot
+		// for the callback's first heapPush to overwrite, which saves
+		// a full pop plus a separate sift-up per event that schedules
+		// a successor — the common case for every link stage and timer.
+		ev.idx = -1
+		c.fired = true
+		fn := ev.fn
+		c.now = at
 		c.processed++
 		// Recycle before invoking: fn may schedule new events and is
 		// allowed to reuse this very slot.
-		c.release(next.ev)
+		c.release(ev)
 		fn()
+		c.dropFired()
 	}
 	if horizon != MaxTime && c.now < horizon {
 		c.now = horizon
@@ -347,11 +435,15 @@ func (c *Clock) RunUntil(horizon Time) Time {
 // Step executes exactly one pending event and reports whether one was
 // executed. It is primarily a testing aid.
 func (c *Clock) Step() bool {
+	if c.running {
+		panic("sim: Step called while running")
+	}
 	if len(c.queue) == 0 {
 		return false
 	}
 	next := c.queue[0]
-	c.heapPop()
+	c.popRoot()
+	next.ev.idx = -1
 	fn := next.ev.fn
 	c.now = next.at
 	c.processed++
@@ -367,24 +459,45 @@ func (c *Clock) Step() bool {
 // dispatch per comparison and halves the tree depth.
 
 func (c *Clock) heapPush(ev *event) {
+	slot := heapSlot{at: ev.at, origin: ev.origin, seq: ev.seq, ev: ev}
+	if c.fired {
+		// The fired root is dead: overwriting it and sifting down pops
+		// it and pushes ev in one pass, whatever ev's key.
+		c.fired = false
+		c.queue[0] = slot
+		c.heapDown(0)
+		return
+	}
 	ev.idx = int32(len(c.queue))
-	c.queue = append(c.queue, heapSlot{at: ev.at, origin: ev.origin, seq: ev.seq, ev: ev})
+	c.queue = append(c.queue, slot)
 	c.heapUp(int(ev.idx))
 }
 
-// heapPop removes the minimum (c.queue[0]).
-func (c *Clock) heapPop() {
+// dropFired removes the fired root if the callback left it in place.
+func (c *Clock) dropFired() {
+	if c.fired {
+		c.fired = false
+		c.popRoot()
+	}
+}
+
+// endRun ends a RunUntil; a panicking callback leaves its fired root
+// behind.
+func (c *Clock) endRun() {
+	c.dropFired()
+	c.running = false
+}
+
+// popRoot removes queue[0] without touching its event.
+func (c *Clock) popRoot() {
 	n := len(c.queue) - 1
-	root := c.queue[0].ev
 	last := c.queue[n]
 	c.queue[n] = heapSlot{}
 	c.queue = c.queue[:n]
 	if n > 0 {
 		c.queue[0] = last
-		last.ev.idx = 0
 		c.heapDown(0)
 	}
-	root.idx = -1
 }
 
 // heapRemove deletes an arbitrary queued event.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -397,5 +398,209 @@ func TestCancelledThenRescheduledOrdering(t *testing.T) {
 		if order[j] <= order[j-1] {
 			t.Fatalf("FIFO violated: %d after %d", order[j], order[j-1])
 		}
+	}
+}
+
+func TestStampOrdersLikeAt(t *testing.T) {
+	// A key reserved with Stamp and scheduled later fires exactly where
+	// At, called at the reservation, would have put it: after events
+	// scheduled before the reservation, before those scheduled after,
+	// even when they share its instant.
+	c := NewClock()
+	var order []string
+	at := Time(5)
+	c.At(at, func() { order = append(order, "before") })
+	s := c.Stamp()
+	c.At(at, func() { order = append(order, "after") })
+	c.At(2, func() {
+		c.AtStamp(at, s, func() { order = append(order, "stamped") })
+		// A same-instant event scheduled now sorts after everything
+		// scheduled at t = 0.
+		c.At(at, func() { order = append(order, "late") })
+	})
+	c.Run()
+	want := []string{"before", "stamped", "after", "late"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if c.Processed() != 5 {
+		t.Fatalf("Processed = %d, want 5", c.Processed())
+	}
+}
+
+func TestAtStampPanics(t *testing.T) {
+	for name, call := range map[string]func(c *Clock, s Stamp){
+		"past":   func(c *Clock, s Stamp) { c.AtStamp(c.Now()-1, s, func() {}) },
+		"origin": func(c *Clock, s Stamp) { c.AtStamp(c.Now(), Stamp{origin: c.Now() + 1}, func() {}) },
+		"nil":    func(c *Clock, s Stamp) { c.AtStamp(c.Now(), s, nil) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := NewClock()
+			c.RunUntil(10)
+			s := c.Stamp()
+			defer func() {
+				if recover() == nil {
+					t.Error("did not panic")
+				}
+			}()
+			call(c, s)
+		})
+	}
+}
+
+func TestStepWhileRunningPanics(t *testing.T) {
+	c := NewClock()
+	c.At(1, func() { c.Step() })
+	defer func() {
+		if recover() == nil {
+			t.Error("Step inside a callback did not panic")
+		}
+	}()
+	c.Run()
+}
+
+func TestPendingAndNextInsideCallback(t *testing.T) {
+	// While a callback runs, its own event is no longer pending — before
+	// and after it schedules a successor into the fired root's slot.
+	c := NewClock()
+	c.At(3, func() {})
+	c.At(7, func() {})
+	c.At(1, func() {
+		if p := c.Pending(); p != 3 {
+			t.Errorf("Pending before scheduling = %d, want 3", p)
+		}
+		if next, ok := c.Next(); !ok || next != 3 {
+			t.Errorf("Next before scheduling = %v %v, want 3", next, ok)
+		}
+		c.At(2, func() {})
+		if p := c.Pending(); p != 4 {
+			t.Errorf("Pending after scheduling = %d, want 4", p)
+		}
+		if next, ok := c.Next(); !ok || next != 2 {
+			t.Errorf("Next after scheduling = %v %v, want 2", next, ok)
+		}
+	})
+	c.At(9, func() {
+		if next, ok := c.Next(); ok {
+			t.Errorf("Next in the last callback = %v, want none", next)
+		}
+	})
+	c.Run()
+	if c.Processed() != 5 || c.Pending() != 0 {
+		t.Fatalf("Processed = %d, Pending = %d", c.Processed(), c.Pending())
+	}
+}
+
+func TestFusedRootUnderStop(t *testing.T) {
+	// Stop from a callback that schedules nothing, then from one that
+	// schedules: either way the fired root must leave the heap and the
+	// rest must resume in order.
+	c := NewClock()
+	var order []int
+	for i := 1; i <= 6; i++ {
+		i := i
+		c.At(Time(i), func() {
+			order = append(order, i)
+			switch i {
+			case 2:
+				c.Stop()
+			case 4:
+				c.At(Time(5), func() { order = append(order, 50) })
+				c.Stop()
+			}
+		})
+	}
+	c.Run()
+	if c.Pending() != 4 || c.Now() != 2 {
+		t.Fatalf("after first Stop: Pending = %d, Now = %v", c.Pending(), c.Now())
+	}
+	c.Run()
+	if c.Pending() != 3 || c.Now() != 4 {
+		t.Fatalf("after second Stop: Pending = %d, Now = %v", c.Pending(), c.Now())
+	}
+	c.Run()
+	if want := "[1 2 3 4 5 50 6]"; fmt.Sprint(order) != want {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+func TestFusedRootAtHorizon(t *testing.T) {
+	// RunUntil ends between a callback that scheduled nothing and the
+	// next event: the horizon stop must see the true next event, not
+	// the dropped root.
+	c := NewClock()
+	fired := 0
+	c.At(1, func() { fired++ })
+	c.At(5, func() { fired++ })
+	if end := c.RunUntil(3); end != 3 || fired != 1 || c.Pending() != 1 {
+		t.Fatalf("RunUntil(3) = %v, fired %d, Pending %d", end, fired, c.Pending())
+	}
+	if next, ok := c.Next(); !ok || next != 5 {
+		t.Fatalf("Next = %v %v, want 5", next, ok)
+	}
+	// A callback whose successor lies beyond the horizon.
+	c.At(4, func() { fired++; c.At(8, func() { fired++ }) })
+	if end := c.RunUntil(7); end != 7 || fired != 3 || c.Pending() != 1 {
+		t.Fatalf("RunUntil(7) = %v, fired %d, Pending %d", end, fired, c.Pending())
+	}
+	c.Run()
+	if fired != 4 || c.Processed() != 4 {
+		t.Fatalf("fired %d, Processed %d", fired, c.Processed())
+	}
+}
+
+func TestFusedRootCallbackCancelsEverything(t *testing.T) {
+	// A callback that cancels every other pending event leaves the
+	// fired root alone in the heap; the event it then schedules takes
+	// that slot, and a second wave of cancels must not disturb it.
+	c := NewClock()
+	handles := make([]Handle, 40)
+	fired := 0
+	for i := range handles {
+		handles[i] = c.At(Time(10+i), func() { fired++ })
+	}
+	c.At(1, func() {
+		for i, h := range handles {
+			if i%2 == 0 && !h.Cancel() {
+				t.Errorf("cancel %d failed", i)
+			}
+		}
+		if p := c.Pending(); p != 20 {
+			t.Errorf("Pending after half = %d, want 20", p)
+		}
+		for _, h := range handles {
+			h.Cancel()
+		}
+		if p := c.Pending(); p != 0 {
+			t.Errorf("Pending after all = %d, want 0", p)
+		}
+		c.At(2, func() { fired += 100 })
+		if p := c.Pending(); p != 1 {
+			t.Errorf("Pending after rescheduling = %d, want 1", p)
+		}
+	})
+	c.Run()
+	if fired != 100 || c.Processed() != 2 || c.Pending() != 0 {
+		t.Fatalf("fired %d, Processed %d, Pending %d", fired, c.Processed(), c.Pending())
+	}
+}
+
+func TestFusedRootSurvivesPanic(t *testing.T) {
+	// A panicking callback leaves its fired root behind; RunUntil's
+	// defer must drop it so the clock stays usable.
+	c := NewClock()
+	ran := false
+	c.At(1, func() { panic("boom") })
+	c.At(2, func() { ran = true })
+	func() {
+		defer func() { _ = recover() }()
+		c.Run()
+	}()
+	if c.Pending() != 1 {
+		t.Fatalf("Pending after panic = %d, want 1", c.Pending())
+	}
+	c.Run()
+	if !ran || c.Pending() != 0 {
+		t.Fatalf("ran = %v, Pending = %d", ran, c.Pending())
 	}
 }
