@@ -149,21 +149,28 @@ func (sc *Scenario) relayIDSet() map[netem.NodeID]bool {
 	return out
 }
 
-// download is one logical transfer tracked by the churn engine. A
+// download is one logical transfer tracked by the trial engine. A
 // download survives circuit rebuilds: when a relay failure kills its
 // circuit, a Rebuild arm gives it a fresh circuit and restarts the
 // transfer, and the download's TTLB spans first start to final
 // completion — so repeated startups show up in the distribution.
+//
+// On the barrier plane the done/doneAt/ttlb trio is written mid-window
+// by the completing shard (exactly one shard ever completes a given
+// transfer) and read only at barriers, after the window's join — the
+// barrier is the happens-before edge, so no lock is needed.
 type download struct {
 	index    int
 	circuit  *core.Circuit
 	startAt  sim.Time // first transfer start
 	started  bool
 	done     bool
+	handled  bool // completion accounted by the engine
 	aborted  bool
 	killed   bool // evicted by a relay's resource manager
 	rejected bool // refused at circuit admission
 	settled  bool // counted toward the churn-free early stop
+	doneAt   sim.Time
 	ttlb     time.Duration
 	rebuild  int
 
@@ -179,22 +186,24 @@ type download struct {
 	delivered    units.DataSize // bytes banked from discarded circuits
 }
 
-// churnEngine drives one trial on a single network/clock — churn-free
-// trials and the dynamic circuit lifecycle alike — so everything it does
+// trialNet is the network a trial's circuits live on: a core.Network
+// or a core.ShardedNetwork.
+type trialNet interface {
+	workload.Builder
+	faults.Network
+}
+
+// engine drives one trial — churn-free or with the dynamic circuit
+// lifecycle — over a control plane (see plane), so everything it does
 // is deterministic regardless of the worker pool running the trial.
-type churnEngine struct {
+type engine struct {
 	sc      Scenario
 	arm     Arm
-	n       *core.Network
+	net     trialNet
+	plane   plane
 	cons    *directory.Consensus // nil on explicit topologies
 	access  netem.AccessConfig
-	seed    int64
 	churnOn bool
-
-	// unsettled counts the churn-free trial's initial circuits that
-	// have not yet completed, been killed or been evicted; the clock
-	// stops when it reaches zero (unless RunFullHorizon).
-	unsettled int
 
 	pathRNG   *sim.RNG // churn-arrival and rebuild path sampling
 	downloads []*download
@@ -211,7 +220,7 @@ type churnEngine struct {
 // newDownload allocates a ledger entry — from the trial arena's slab
 // when one is in play (churn-heavy trials create thousands), from the
 // heap otherwise.
-func (e *churnEngine) newDownload(index int) *download {
+func (e *engine) newDownload(index int) *download {
 	if e.dlSlab != nil {
 		d := e.dlSlab.New()
 		d.index = index
@@ -220,63 +229,72 @@ func (e *churnEngine) newDownload(index int) *download {
 	return &download{index: index}
 }
 
-// runChurn executes one single-clock trial: initial circuits start per
-// the arrival process, then churn arrivals, scheduled teardowns, relay
-// failure/recovery and fault recovery play out on the trial's clock.
-func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]CircuitOutcome, NetStats, ChurnStats, ResilienceStats, error) {
-	e, err := newChurnEngine(sc, arm, seed, ar)
-	if err != nil {
-		return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
-	}
-	e.n.RunUntil(sc.Horizon)
-	out := e.collect(rep)
-	net := netStats(e.n.Fabric(), e.n.ResourceStats(), e.n.SchedDrops())
-	if !e.churnOn {
-		return out, net, ChurnStats{}, e.resil, nil
-	}
-	return out, net, e.churn, e.resil, nil
-}
-
-// newChurnEngine builds one trial's network and initial circuits and
-// schedules everything the trial will do; running the clock plays it.
-func newChurnEngine(sc Scenario, arm Arm, seed int64, ar *arena.Arena) (*churnEngine, error) {
-	e := &churnEngine{
+// newEngine builds one trial's network and initial circuits and posts
+// everything the trial will do to its control plane: the clock plane
+// on one core.Network when sc.Shards is 0, the barrier plane on a
+// core.ShardedNetwork otherwise. ars supplies the trial's recycled
+// substrate, one arena per shard (nil allocates fresh substrate).
+func newEngine(sc Scenario, arm Arm, seed int64, ars []*arena.Arena) (*engine, error) {
+	e := &engine{
 		sc:      sc,
 		arm:     arm,
-		seed:    seed,
 		churnOn: sc.hasChurn(),
 		pathRNG: sim.NewRNG(seed, "scenario-churn-paths"),
 		failed:  make(map[netem.NodeID]bool),
 	}
-	if ar != nil {
+	var ar *arena.Arena
+	if len(ars) > 0 {
+		ar = ars[0]
 		e.dlSlab = ar.Slot("scenario.downloads", func() any {
 			return new(arena.Slab[download])
 		}).(*arena.Slab[download])
 	}
 	e.churn.Lifetime = newLifetimeDist(arm.Name)
 
+	// TrainSize is stamped onto a deep copy of the fabric: the original
+	// is shared across parallel workers and must never be mutated.
+	var spec *netem.GraphSpec
+	if sc.Topology.Fabric != nil {
+		s := sc.Topology.Fabric.Clone()
+		for i := range s.Trunks {
+			s.Trunks[i].Config.TrainSize = sc.TrainSize
+		}
+		spec = &s
+	}
+	if sc.Shards > 0 {
+		sn, err := core.NewShardedNetwork(seed, *spec, sc.Shards, ars)
+		if err != nil {
+			return nil, err
+		}
+		e.net, e.plane = sn, newBarrierPlane(e, sn, spec.MinPositiveTrunkDelay())
+	} else {
+		n, err := workload.NewNetwork(seed, spec, ar, sc.TrainSize)
+		if err != nil {
+			return nil, err
+		}
+		e.net, e.plane = n, &clockPlane{e: e, n: n}
+	}
 	var initial []*core.Circuit
 	if sc.Topology.Population != nil {
-		wsc, err := workload.Build(seed, workloadParams(sc, arm, ar))
+		pop, err := workload.Populate(seed, e.net, workloadParams(sc, arm))
 		if err != nil {
 			return nil, err
 		}
-		e.n, e.cons, initial = wsc.Network, wsc.Consensus, wsc.Circuits
-		e.access = wsc.Params.ClientAccess
+		initial, e.cons, e.access = pop.Circuits, pop.Consensus, pop.Params.ClientAccess
 	} else {
-		n, err := workload.NewNetwork(seed, sc.Topology.Fabric, ar, sc.TrainSize)
-		if err != nil {
-			return nil, err
-		}
-		e.n = n
-		if initial, e.access, err = populateExplicit(n, sc, arm); err != nil {
+		var err error
+		if initial, e.access, err = populateExplicit(e.net, sc, arm); err != nil {
 			return nil, err
 		}
 	}
-	scheduleEvents(e.n, sc.Events)
-	e.watchKills()
+	if n, ok := e.net.(*core.Network); ok {
+		// Link events and resource-manager kills exist only on one
+		// clock: validateSharded rejects both on shards.
+		scheduleEvents(n, sc.Events)
+		n.OnKill(e.onKill)
+	}
 	if sc.Faults.Enabled() {
-		e.inj = faults.Install(e.n, sc.Faults, seed)
+		e.inj = faults.Install(e.net, sc.Faults, seed)
 	}
 	if sc.Faults.Recovery.Enabled {
 		e.recovRNG = sim.NewRNG(seed, "faults-recovery-paths")
@@ -298,7 +316,6 @@ func newChurnEngine(sc Scenario, arm Arm, seed int64, ar *arena.Arena) (*churnEn
 			continue
 		}
 		e.churn.Built++
-		e.unsettled++
 		if c.Closed() {
 			// Evicted at build time (admission kill), before the kill
 			// observer was installed — account the lifecycle here. Its
@@ -308,7 +325,8 @@ func newChurnEngine(sc Scenario, arm Arm, seed int64, ar *arena.Arena) (*churnEn
 			e.churn.TornDown++
 			e.churn.Lifetime.Add(c.Lifetime().Seconds())
 		}
-		e.scheduleStart(d, delays[i])
+		at := sim.Time(0).Add(delays[i])
+		e.plane.post(qStart, at, func() { e.start(d, at) })
 	}
 
 	// Churn arrivals: an independent Poisson stream, so the initial
@@ -320,70 +338,63 @@ func newChurnEngine(sc Scenario, arm Arm, seed int64, ar *arena.Arena) (*churnEn
 			at += time.Duration(rng.Exponential(1/ce.ArrivalRate) * float64(time.Second))
 			d := e.newDownload(len(e.downloads))
 			e.downloads = append(e.downloads, d)
-			delay := at
-			e.n.Clock().After(delay, func() { e.arrive(d) })
+			t := sim.Time(0).Add(at)
+			e.plane.post(qArrival, t, func() { e.arrive(d, t) })
 		}
 	}
 	for _, td := range sc.CircuitEvents.Teardowns {
 		d := e.downloads[td.Index]
-		e.n.Clock().At(td.At, func() { e.abort(d) })
+		e.plane.post(qTeardown, td.At, func() { e.abort(d) })
 	}
 	for _, ev := range sc.RelayEvents {
 		ev := ev
-		e.n.Clock().At(ev.At, func() { e.relayEvent(ev) })
+		e.plane.post(qRelay, ev.At, func() { e.relayEvent(ev) })
 	}
-	// With churn on there is no Stop(): teardown releases every timer,
-	// so the queue drains on its own once the last download finishes
-	// (or the horizon cuts a stalled one off).
+	// With churn on there is no early stop: teardown releases every
+	// timer, so the trial drains on its own once the last download
+	// finishes (or the horizon cuts a stalled one off).
 	return e, nil
 }
 
-// settle counts initial download d out of a churn-free trial's early
-// stop: once every initial circuit has completed, been killed or been
-// evicted, the clock stops, unless the trial runs its full horizon.
-func (e *churnEngine) settle(d *download) {
-	if e.churnOn || d.settled {
-		return
+// run plays the trial and renders its outcomes and accounting.
+func (e *engine) run(rep int) ([]CircuitOutcome, NetStats, ChurnStats, ResilienceStats) {
+	e.plane.run(e.sc.Horizon)
+	out := e.collect(rep)
+	if !e.churnOn {
+		return out, e.plane.netStats(), ChurnStats{}, e.resil
 	}
-	d.settled = true
-	e.unsettled--
-	if e.unsettled == 0 && !e.sc.RunFullHorizon {
-		e.n.Clock().Stop()
-	}
+	return out, e.plane.netStats(), e.churn, e.resil
 }
 
-// scheduleStart arms download d's first transfer start after delay. A
-// scheduled teardown may kill the circuit before the staggered start
-// arrives (the start is then dropped — the download is already
-// accounted as aborted), and a relay failure may have replaced the
-// circuit with a rebuilt one (the start then proceeds on it).
-func (e *churnEngine) scheduleStart(d *download, delay time.Duration) {
-	start := func() {
-		if d.started || d.aborted || d.circuit.Closed() {
-			e.settle(d)
-			return
-		}
-		d.started = true
-		d.startAt = e.n.Now()
-		e.startTransfer(d)
+// start begins initial download d's first transfer at its
+// arrival-process instant. A scheduled teardown may kill the circuit
+// before the staggered start arrives (the start is then dropped — the
+// download is already accounted as aborted), and a relay failure may
+// have replaced the circuit with a rebuilt one (the start then proceeds
+// on it).
+func (e *engine) start(d *download, at sim.Time) {
+	if d.started || d.aborted || d.circuit.Closed() {
+		e.plane.settle(d)
+		return
 	}
-	if delay == 0 {
-		start()
-	} else {
-		e.n.Clock().After(delay, start)
-	}
+	d.started = true
+	d.startAt = at
+	e.startTransfer(d, at)
 }
 
 // startTransfer begins (or, after a rebuild, restarts) d's transfer on
-// its current circuit.
-func (e *churnEngine) startTransfer(d *download) {
+// its current circuit at instant at. The completion callback writes
+// only d's own fields, and its timestamps derive from at plus the
+// transfer's measured duration, never from a barrier's position.
+func (e *engine) startTransfer(d *download, at sim.Time) {
+	d.done, d.handled = false, false
 	size := e.sc.Circuits.sizeFor(d.index)
-	onDone := func(time.Duration) { e.complete(d) }
-	if e.sc.Circuits.Download {
-		d.circuit.TransferBackward(size, onDone)
-	} else {
-		d.circuit.Transfer(size, onDone)
-	}
+	e.plane.transfer(d.circuit, at, size, e.sc.Circuits.Download, func(ttlb time.Duration) {
+		d.doneAt = at.Add(ttlb)
+		d.ttlb = d.doneAt.Sub(d.startAt)
+		d.done = true
+		e.plane.completed(d)
+	})
 	if e.recoveryOn() {
 		e.ensureEst(d)
 		d.wgen++ // invalidate watchdog chains from a previous circuit
@@ -392,34 +403,32 @@ func (e *churnEngine) startTransfer(d *download) {
 	}
 }
 
-// watchKills observes resource-manager evictions. The kill path tears
-// the circuit down directly (bypassing e.teardown), so the lifecycle
+// onKill observes a resource-manager eviction. The kill path tears the
+// circuit down directly (bypassing e.teardown), so the lifecycle
 // accounting happens here, and the victim's download is marked killed
 // rather than left looking stalled.
-func (e *churnEngine) watchKills() {
-	e.n.OnKill(func(c *core.Circuit) {
-		for _, d := range e.downloads {
-			if d.circuit != c {
-				continue
-			}
-			if !d.done && !d.aborted {
-				d.aborted, d.killed = true, true
-				e.churn.Aborted++
-				e.endActive(d)
-			}
-			e.settle(d)
-			break
+func (e *engine) onKill(c *core.Circuit) {
+	for _, d := range e.downloads {
+		if d.circuit != c {
+			continue
 		}
-		e.churn.TornDown++
-		e.churn.Lifetime.Add(c.Lifetime().Seconds())
-	})
+		if !d.done && !d.aborted {
+			d.aborted, d.killed = true, true
+			e.churn.Aborted++
+			e.endActive(d)
+		}
+		e.plane.settle(d)
+		break
+	}
+	e.churn.TornDown++
+	e.churn.Lifetime.Add(c.Lifetime().Seconds())
 }
 
-// arrive builds a fresh circuit for churn download d and starts it.
-// With recovery enabled, a failed build enters the retry/backoff ladder
-// instead of aborting outright — build failures get the same treatment
-// as stalls.
-func (e *churnEngine) arrive(d *download) {
+// arrive builds a fresh circuit for churn download d and starts it at
+// its arrival instant. With recovery enabled, a failed build enters the
+// retry/backoff ladder instead of aborting outright — build failures
+// get the same treatment as stalls.
+func (e *engine) arrive(d *download, at sim.Time) {
 	if e.recoveryOn() {
 		if err := e.buildOn(d, e.pathRNG, e.inj.ExcludedWith(e.failed)); err != nil {
 			if errors.Is(err, core.ErrCircuitRejected) {
@@ -432,8 +441,8 @@ func (e *churnEngine) arrive(d *download) {
 		return
 	}
 	d.started = true
-	d.startAt = e.n.Now()
-	e.startTransfer(d)
+	d.startAt = at
+	e.startTransfer(d, at)
 }
 
 // buildFresh gives download d a freshly built circuit. On a generated
@@ -442,7 +451,7 @@ func (e *churnEngine) arrive(d *download) {
 // indices run past Count). If no path is currently available (every
 // candidate for some position is down) or the build fails, the
 // download is recorded as aborted and buildFresh reports false.
-func (e *churnEngine) buildFresh(d *download) bool {
+func (e *engine) buildFresh(d *download) bool {
 	err := e.buildOn(d, e.pathRNG, e.failed)
 	if err == nil {
 		return true
@@ -464,12 +473,12 @@ func (e *churnEngine) buildFresh(d *download) bool {
 // rebuilds (pathRNG, scripted failures) and recovery rebuilds (recovRNG,
 // failures plus fault-suspect relays). On success the circuit is
 // installed and counted; the caller owns failure accounting.
-func (e *churnEngine) buildOn(d *download, rng *sim.RNG, excl map[netem.NodeID]bool) error {
+func (e *engine) buildOn(d *download, rng *sim.RNG, excl map[netem.NodeID]bool) error {
 	path, err := pathFor(e.sc, e.cons, rng, excl, d.index)
 	if err != nil {
 		return err
 	}
-	c, err := e.n.BuildCircuit(circuitSpec(e.sc, e.arm, e.access, d.index, d.rebuild, path))
+	c, err := e.net.BuildCircuit(circuitSpec(e.sc, e.arm, e.access, d.index, d.rebuild, path))
 	if err != nil {
 		return err
 	}
@@ -478,12 +487,12 @@ func (e *churnEngine) buildOn(d *download, rng *sim.RNG, excl map[netem.NodeID]b
 	return nil
 }
 
-// complete records download d's completion. With churn on it schedules
-// the circuit's teardown after the configured linger; a churn-free
-// circuit stays up and only settles toward the early stop.
-func (e *churnEngine) complete(d *download) {
-	d.done = true
-	d.ttlb = e.n.Now().Sub(d.startAt)
+// complete accounts download d's completion, which its transfer's
+// callback recorded. With churn on it schedules the circuit's teardown
+// after the configured linger; a churn-free circuit stays up and only
+// settles toward the early stop.
+func (e *engine) complete(d *download) {
+	d.handled = true
 	if e.recoveryOn() {
 		if d.stalled {
 			// Completion arrived before the watchdog saw new progress;
@@ -493,12 +502,12 @@ func (e *churnEngine) complete(d *download) {
 		e.endActive(d)
 	}
 	if !e.churnOn {
-		e.settle(d)
+		e.plane.settle(d)
 		return
 	}
 	circ := d.circuit
 	if delay := e.sc.CircuitEvents.TeardownDelay; delay > 0 {
-		e.n.Clock().After(delay, func() { e.teardown(circ) })
+		e.plane.post(qLinger, d.doneAt.Add(delay), func() { e.teardown(circ) })
 	} else {
 		e.teardown(circ)
 	}
@@ -506,7 +515,7 @@ func (e *churnEngine) complete(d *download) {
 
 // abort tears download d down before completion (a scheduled teardown
 // of an initial circuit).
-func (e *churnEngine) abort(d *download) {
+func (e *engine) abort(d *download) {
 	if d.done || d.aborted || d.circuit == nil || d.circuit.Closed() {
 		return
 	}
@@ -517,7 +526,7 @@ func (e *churnEngine) abort(d *download) {
 }
 
 // teardown closes a circuit and accounts its lifetime.
-func (e *churnEngine) teardown(c *core.Circuit) {
+func (e *engine) teardown(c *core.Circuit) {
 	if c.Closed() {
 		return
 	}
@@ -531,8 +540,8 @@ func (e *churnEngine) teardown(c *core.Circuit) {
 // affected downloads fresh circuits over paths that avoid all
 // currently-failed relays and restart their transfers from scratch —
 // each rebuild pays a full startup again.
-func (e *churnEngine) relayEvent(ev RelayEvent) {
-	r := e.n.Relay(ev.Relay)
+func (e *engine) relayEvent(ev RelayEvent) {
+	r := e.net.Relay(ev.Relay)
 	if ev.Kind == RelayRecover {
 		delete(e.failed, ev.Relay)
 		r.Recover()
@@ -570,7 +579,7 @@ func (e *churnEngine) relayEvent(ev RelayEvent) {
 		// still waiting for its staggered start keeps that schedule and
 		// simply starts on the rebuilt circuit.
 		if d.started {
-			e.startTransfer(d)
+			e.startTransfer(d, e.plane.now())
 		}
 	}
 }
@@ -586,11 +595,11 @@ func crossesRelay(c *core.Circuit, id netem.NodeID) bool {
 }
 
 // collect renders the engine's downloads into outcomes, in download
-// index order. With churn on, circuits still alive at the horizon are
-// torn down here so their lifetimes and pooled state are accounted too;
-// churn-free trials leave them standing and report no Aborted or
-// StartAt, which only churn scenarios define.
-func (e *churnEngine) collect(rep int) []CircuitOutcome {
+// index order. With churn on, circuits still alive at the stop are torn
+// down here so their lifetimes and pooled state are accounted too;
+// churn-free trials leave them standing and report no Aborted, and
+// single-clock ones no StartAt either, as each engine always did.
+func (e *engine) collect(rep int) []CircuitOutcome {
 	out := make([]CircuitOutcome, len(e.downloads))
 	for i, d := range e.downloads {
 		o := CircuitOutcome{
@@ -605,7 +614,10 @@ func (e *churnEngine) collect(rep int) []CircuitOutcome {
 			Rebuilds:    d.rebuild,
 		}
 		if !e.churnOn {
-			o.Aborted, o.StartAt = false, 0
+			o.Aborted = false
+			if e.sc.Shards == 0 {
+				o.StartAt = 0
+			}
 		}
 		if d.circuit != nil {
 			if e.churnOn {
@@ -629,4 +641,102 @@ func (e *churnEngine) collect(rep int) []CircuitOutcome {
 		out[i] = o
 	}
 	return out
+}
+
+// queue names a class of control actions. A barrier drains the queues
+// in declaration order; the order of actions due at the same instant
+// on one clock is the order they were posted.
+type queue int
+
+const (
+	// Due actions run at their instant on one clock, and at the first
+	// barrier at or after it on shards.
+	qLinger   queue = iota // a completed circuit's teardown linger expiring
+	qTeardown              // a scheduled teardown of an initial circuit
+	qRelay                 // a relay failure or recovery
+	qRecovery              // a recovery watchdog check or rebuild backoff
+	// Ahead actions start a transfer at exactly their instant: on shards
+	// they run at the last barrier before it, which schedules the
+	// transfer at the instant itself.
+	qArrival // a churn arrival
+	qStart   // an initial download's start
+	numQueues
+)
+
+// plane is a trial's control plane: it places the engine's control
+// actions in the data plane's time. The clock plane runs each at its
+// instant on one clock; the barrier plane runs them between the
+// windows of a sharded network, where every shard clock is parked.
+type plane interface {
+	// post queues fn to run for instant at (see queue).
+	post(q queue, at sim.Time, fn func())
+	// transfer starts a transfer of size bytes on c at instant at, as
+	// core.Circuit.ScheduleTransfer does; onDone gets the circuit's TTLB.
+	transfer(c *core.Circuit, at sim.Time, size units.DataSize, download bool, onDone func(time.Duration))
+	// completed hands the engine a download whose completion onDone
+	// just recorded.
+	completed(d *download)
+	// settle counts initial download d out of a churn-free trial's
+	// early stop.
+	settle(d *download)
+	// now is the instant control actions run at.
+	now() sim.Time
+	// run plays the trial to the horizon or its early stop.
+	run(horizon sim.Time)
+	// netStats snapshots the fabric accounting after run.
+	netStats() NetStats
+}
+
+// clockPlane runs a trial on one core.Network: every control action is
+// an event on its clock, and a completion is accounted at its instant.
+type clockPlane struct {
+	e *engine
+	n *core.Network
+	// unsettled counts the churn-free trial's initial circuits that
+	// have not yet completed, been killed or been evicted; the clock
+	// stops when it reaches zero (unless RunFullHorizon).
+	unsettled int
+}
+
+// post schedules fn at its instant; a start due now runs inline.
+func (p *clockPlane) post(q queue, at sim.Time, fn func()) {
+	if q == qStart {
+		p.unsettled++
+		if at == p.n.Now() {
+			fn()
+			return
+		}
+	}
+	p.n.Clock().At(at, fn)
+}
+
+func (p *clockPlane) transfer(c *core.Circuit, _ sim.Time, size units.DataSize, download bool, onDone func(time.Duration)) {
+	if download {
+		c.TransferBackward(size, onDone)
+	} else {
+		c.Transfer(size, onDone)
+	}
+}
+
+func (p *clockPlane) completed(d *download) { p.e.complete(d) }
+
+// settle stops the clock once every initial circuit has completed,
+// been killed or been evicted, unless the trial runs its full horizon.
+func (p *clockPlane) settle(d *download) {
+	if p.e.churnOn || d.settled {
+		return
+	}
+	d.settled = true
+	p.unsettled--
+	if p.unsettled == 0 && !p.e.sc.RunFullHorizon {
+		p.n.Clock().Stop()
+	}
+}
+
+func (p *clockPlane) now() sim.Time { return p.n.Now() }
+
+func (p *clockPlane) run(horizon sim.Time) { p.n.RunUntil(horizon) }
+
+func (p *clockPlane) netStats() NetStats {
+	return netStats(p.n.Fabric(), p.n.ResourceStats(), p.n.SchedDrops())
 }

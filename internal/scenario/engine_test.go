@@ -285,17 +285,17 @@ func TestGeneratedRunFullHorizon(t *testing.T) {
 		if err := sc.validate(); err != nil {
 			t.Fatal(err)
 		}
-		e, err := newChurnEngine(sc, sc.Arms[0], sc.Seed, nil)
+		e, err := newEngine(sc, sc.Arms[0], sc.Seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.n.RunUntil(sc.Horizon)
+		e.plane.run(sc.Horizon)
 		for _, d := range e.downloads {
 			if !d.done {
 				t.Fatalf("RunFullHorizon=%v: download %d incomplete", full, d.index)
 			}
 		}
-		next, pending := e.n.Clock().Next()
+		next, pending := e.plane.(*clockPlane).n.Clock().Next()
 		if ranToHorizon := !pending || next > sc.Horizon; ranToHorizon != full {
 			t.Errorf("RunFullHorizon=%v: ran to horizon %v (next event %v, pending %v)", full, ranToHorizon, next, pending)
 		}

@@ -187,10 +187,11 @@ func TestFaultedTrialPoolBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	ar := arena.New()
-	_, _, _, resil, err := runChurn(sc, sc.Arms[0], sc.Seed, 0, ar)
+	e, err := newEngine(sc, sc.Arms[0], sc.Seed, []*arena.Arena{ar})
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _, _, resil := e.run(0)
 	if resil.Stalls == 0 {
 		t.Fatal("trial exercised no faulted paths")
 	}

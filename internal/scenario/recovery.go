@@ -29,11 +29,11 @@ import (
 // counts a new stall: the downtime span covers the whole outage.
 
 // recoveryOn reports whether the trial runs the stall detector.
-func (e *churnEngine) recoveryOn() bool { return e.sc.Faults.Recovery.Enabled }
+func (e *engine) recoveryOn() bool { return e.sc.Faults.Recovery.Enabled }
 
 // ensureEst lazily creates download d's recovery RTT estimator, clamped
 // by the plan's RTO bounds.
-func (e *churnEngine) ensureEst(d *download) {
+func (e *engine) ensureEst(d *download) {
 	if d.est == nil {
 		rec := e.sc.Faults.Recovery
 		d.est = transport.NewRTTEstimator(rec.RTOMin, rec.RTOMax)
@@ -45,7 +45,7 @@ func (e *churnEngine) ensureEst(d *download) {
 // receiving endpoint (either direction), and backward-sender progress
 // for download-direction transfers. Any frame surviving the faulted
 // path bumps at least one term.
-func (e *churnEngine) progressOf(d *download) uint64 {
+func (e *engine) progressOf(d *download) uint64 {
 	c := d.circuit
 	st := c.SourceSender().Stats()
 	p := st.Acked + st.Feedback
@@ -60,7 +60,7 @@ func (e *churnEngine) progressOf(d *download) uint64 {
 
 // receivedOn returns the bytes the transfer's receiving endpoint got on
 // this circuit — the goodput contribution of a circuit being discarded.
-func (e *churnEngine) receivedOn(c *core.Circuit) units.DataSize {
+func (e *engine) receivedOn(c *core.Circuit) units.DataSize {
 	if c == nil {
 		return 0
 	}
@@ -72,15 +72,15 @@ func (e *churnEngine) receivedOn(c *core.Circuit) units.DataSize {
 
 // armWatchdog schedules the next progress check, bound to the current
 // watchdog generation so chains armed before a rebuild die silently.
-func (e *churnEngine) armWatchdog(d *download) {
+func (e *engine) armWatchdog(d *download) {
 	gen := d.wgen
 	deadline := time.Duration(e.sc.Faults.Recovery.StallRTOs) * d.est.RTO()
-	e.n.Clock().After(deadline, func() { e.checkProgress(d, gen) })
+	e.plane.post(qRecovery, e.plane.now().Add(deadline), func() { e.checkProgress(d, gen) })
 }
 
 // checkProgress is the watchdog body: progress since the last check
 // re-arms (and closes any open stall); none declares a stall.
-func (e *churnEngine) checkProgress(d *download, gen uint64) {
+func (e *engine) checkProgress(d *download, gen uint64) {
 	if gen != d.wgen || d.done || d.aborted {
 		return
 	}
@@ -107,10 +107,10 @@ func (e *churnEngine) checkProgress(d *download, gen uint64) {
 
 // onStall declares the download stalled, banks the dead circuit's
 // delivered bytes, tears it down and enters the rebuild ladder.
-func (e *churnEngine) onStall(d *download) {
+func (e *engine) onStall(d *download) {
 	if !d.stalled {
 		d.stalled = true
-		d.stalledAt = e.n.Now()
+		d.stalledAt = e.plane.now()
 		e.resil.Stalls++
 	}
 	d.delivered += e.receivedOn(d.circuit)
@@ -119,7 +119,7 @@ func (e *churnEngine) onStall(d *download) {
 }
 
 // tryRebuild spends one retry from the budget: back off, then rebuild.
-func (e *churnEngine) tryRebuild(d *download) {
+func (e *engine) tryRebuild(d *download) {
 	if d.retries >= e.sc.Faults.Recovery.MaxRetries {
 		e.abandon(d)
 		return
@@ -129,7 +129,7 @@ func (e *churnEngine) tryRebuild(d *download) {
 	e.ensureEst(d)
 	d.est.Backoff()
 	gen := d.wgen
-	e.n.Clock().After(d.est.RTO(), func() { e.rebuildAfterStall(d, gen) })
+	e.plane.post(qRecovery, e.plane.now().Add(d.est.RTO()), func() { e.rebuildAfterStall(d, gen) })
 }
 
 // rebuildAfterStall attempts the circuit rebuild a backoff delay after
@@ -138,7 +138,7 @@ func (e *churnEngine) tryRebuild(d *download) {
 // RNG stream so arming recovery never perturbs churn path draws. A
 // failed build re-enters the ladder — circuit-build timeouts get the
 // same retry/backoff treatment as stalls.
-func (e *churnEngine) rebuildAfterStall(d *download, gen uint64) {
+func (e *engine) rebuildAfterStall(d *download, gen uint64) {
 	if gen != d.wgen || d.done || d.aborted {
 		return
 	}
@@ -151,19 +151,20 @@ func (e *churnEngine) rebuildAfterStall(d *download, gen uint64) {
 		return
 	}
 	e.churn.Rebuilt++
+	now := e.plane.now()
 	if !d.started {
 		// A churn arrival whose very first build failed: it starts now.
 		d.started = true
-		d.startAt = e.n.Now()
+		d.startAt = now
 	}
-	e.startTransfer(d)
+	e.startTransfer(d, now)
 }
 
 // recordRecovery closes an open stall: time-to-recovery is the span
 // from the stall declaration to the first subsequent progress (or to
 // completion, whichever lands first).
-func (e *churnEngine) recordRecovery(d *download) {
-	span := e.n.Now().Sub(d.stalledAt).Seconds()
+func (e *engine) recordRecovery(d *download) {
+	span := e.plane.now().Sub(d.stalledAt).Seconds()
 	e.resil.Recoveries++
 	e.resil.TTR.Add(span)
 	e.resil.Downtime += span
@@ -171,7 +172,7 @@ func (e *churnEngine) recordRecovery(d *download) {
 }
 
 // abandon gives up on a download after the retry budget is spent.
-func (e *churnEngine) abandon(d *download) {
+func (e *engine) abandon(d *download) {
 	d.aborted = true
 	e.churn.Aborted++
 	e.resil.Abandoned++
@@ -182,12 +183,12 @@ func (e *churnEngine) abandon(d *download) {
 // at its terminal transition (completion, abort, abandonment, or the
 // horizon). Active time spans first start to the terminal instant;
 // any still-open stall is charged to downtime through the same instant.
-func (e *churnEngine) endActive(d *download) {
+func (e *engine) endActive(d *download) {
 	if !e.recoveryOn() || d.ended {
 		return
 	}
 	d.ended = true
-	now := e.n.Now()
+	now := e.plane.now()
 	if d.started {
 		e.resil.Active += now.Sub(d.startAt).Seconds()
 	}

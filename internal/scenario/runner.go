@@ -162,28 +162,19 @@ func trialSeed(seed int64, rep int) int64 {
 
 // runTrial executes one (arm, replication) pair on its own network. A
 // panic in the simulator is converted into an error so one bad trial
-// fails the run cleanly instead of killing the worker pool. Scenarios
-// with Shards > 0 run on the sharded conservative-lookahead engine;
-// everything else runs on the single-clock lifecycle engine.
+// fails the run cleanly instead of killing the worker pool.
 func runTrial(sc Scenario, arm Arm, seed int64, rep int, ars []*arena.Arena) (out []CircuitOutcome, net NetStats, churn ChurnStats, resil ResilienceStats, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("scenario: arm %q rep %d panicked: %v", arm.Name, rep, p)
 		}
 	}()
-	if sc.Shards > 0 {
-		out, net, churn, resil, err = runSharded(sc, arm, seed, rep, ars)
-	} else {
-		var ar *arena.Arena
-		if len(ars) > 0 {
-			ar = ars[0]
-		}
-		out, net, churn, resil, err = runChurn(sc, arm, seed, rep, ar)
-	}
+	e, err := newEngine(sc, arm, seed, ars)
 	if err != nil {
-		err = fmt.Errorf("scenario: arm %q rep %d: %w", arm.Name, rep, err)
+		return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, fmt.Errorf("scenario: arm %q rep %d: %w", arm.Name, rep, err)
 	}
-	return out, net, churn, resil, err
+	out, net, churn, resil = e.run(rep)
+	return out, net, churn, resil, nil
 }
 
 // trunkFabric is the fabric accounting a trial reports: a single-clock
@@ -234,8 +225,8 @@ func scheduleEvents(n *core.Network, events []LinkEvent) {
 }
 
 // workloadParams renders the scenario's generated-topology trial into
-// workload.ScenarioParams (shared by both engines).
-func workloadParams(sc Scenario, arm Arm, ar *arena.Arena) workload.ScenarioParams {
+// the workload.ScenarioParams Populate reads.
+func workloadParams(sc Scenario, arm Arm) workload.ScenarioParams {
 	// With a SizeMix-only workload the transfers take per-circuit sizes
 	// (sizeFor), but Build still validates a positive TransferSize —
 	// hand it the first mix entry.
@@ -251,10 +242,8 @@ func workloadParams(sc Scenario, arm Arm, ar *arena.Arena) workload.ScenarioPara
 		Transport:      arm.Transport,
 		ClientAccess:   sc.ClientAccess,
 		TraceCwnd:      sc.Probes.TraceCwnd,
-		Fabric:         sc.Topology.Fabric,
 		RelayConfig:    arm.Relay,
 		TrainSize:      sc.TrainSize,
-		Arena:          ar,
 	}
 }
 
@@ -263,7 +252,6 @@ func workloadParams(sc Scenario, arm Arm, ar *arena.Arena) workload.ScenarioPara
 // returns the (defaults-filled) client access so churn arrivals attach
 // identically. A circuit a relay refused at admission under a
 // reject-new policy is a nil slot, reported as a rejected outcome.
-// Shared by both engines.
 func populateExplicit(n workload.Builder, sc Scenario, arm Arm) ([]*core.Circuit, netem.AccessConfig, error) {
 	if err := n.ConfigureRelays(arm.Relay); err != nil {
 		return nil, netem.AccessConfig{}, err
