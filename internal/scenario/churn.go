@@ -230,10 +230,9 @@ func (e *engine) newDownload(index int) *download {
 }
 
 // newEngine builds one trial's network and initial circuits and posts
-// everything the trial will do to its control plane: the clock plane
-// on one core.Network when sc.Shards is 0, the barrier plane on a
-// core.ShardedNetwork otherwise. ars supplies the trial's recycled
-// substrate, one arena per shard (nil allocates fresh substrate).
+// everything the trial will do to its control plane. ars supplies the
+// trial's recycled substrate, one arena per shard (nil allocates fresh
+// substrate).
 func newEngine(sc Scenario, arm Arm, seed int64, ars []*arena.Arena) (*engine, error) {
 	e := &engine{
 		sc:      sc,
@@ -242,63 +241,15 @@ func newEngine(sc Scenario, arm Arm, seed int64, ars []*arena.Arena) (*engine, e
 		pathRNG: sim.NewRNG(seed, "scenario-churn-paths"),
 		failed:  make(map[netem.NodeID]bool),
 	}
-	var ar *arena.Arena
 	if len(ars) > 0 {
-		ar = ars[0]
-		e.dlSlab = ar.Slot("scenario.downloads", func() any {
+		e.dlSlab = ars[0].Slot("scenario.downloads", func() any {
 			return new(arena.Slab[download])
 		}).(*arena.Slab[download])
 	}
 	e.churn.Lifetime = newLifetimeDist(arm.Name)
-
-	// TrainSize is stamped onto a deep copy of the fabric: the original
-	// is shared across parallel workers and must never be mutated.
-	var spec *netem.GraphSpec
-	if sc.Topology.Fabric != nil {
-		s := sc.Topology.Fabric.Clone()
-		for i := range s.Trunks {
-			s.Trunks[i].Config.TrainSize = sc.TrainSize
-		}
-		spec = &s
-	}
-	if sc.Shards > 0 {
-		sn, err := core.NewShardedNetwork(seed, *spec, sc.Shards, ars)
-		if err != nil {
-			return nil, err
-		}
-		e.net, e.plane = sn, newBarrierPlane(e, sn, spec.MinPositiveTrunkDelay())
-	} else {
-		n, err := workload.NewNetwork(seed, spec, ar, sc.TrainSize)
-		if err != nil {
-			return nil, err
-		}
-		e.net, e.plane = n, &clockPlane{e: e, n: n}
-	}
-	var initial []*core.Circuit
-	if sc.Topology.Population != nil {
-		pop, err := workload.Populate(seed, e.net, workloadParams(sc, arm))
-		if err != nil {
-			return nil, err
-		}
-		initial, e.cons, e.access = pop.Circuits, pop.Consensus, pop.Params.ClientAccess
-	} else {
-		var err error
-		if initial, e.access, err = populateExplicit(e.net, sc, arm); err != nil {
-			return nil, err
-		}
-	}
-	if n, ok := e.net.(*core.Network); ok {
-		// Link events and resource-manager kills exist only on one
-		// clock: validateSharded rejects both on shards.
-		scheduleEvents(n, sc.Events)
-		n.OnKill(e.onKill)
-	}
-	if sc.Faults.Enabled() {
-		e.inj = faults.Install(e.net, sc.Faults, seed)
-	}
-	if sc.Faults.Recovery.Enabled {
-		e.recovRNG = sim.NewRNG(seed, "faults-recovery-paths")
-		e.resil.TTR = newTTRDist(arm.Name)
+	initial, err := e.build(seed, ars)
+	if err != nil {
+		return nil, err
 	}
 
 	// Initial downloads follow the scenario's declared arrival process.
@@ -354,6 +305,68 @@ func newEngine(sc Scenario, arm Arm, seed int64, ars []*arena.Arena) (*engine, e
 	// timer, so the trial drains on its own once the last download
 	// finishes (or the horizon cuts a stalled one off).
 	return e, nil
+}
+
+// build makes the trial's network and control plane — the clock plane
+// on one core.Network when Shards is 0, the barrier plane on a
+// core.ShardedNetwork otherwise — attaches the relays, builds the
+// initial circuits (nil slots are circuits refused at admission) and
+// installs the fault plan.
+func (e *engine) build(seed int64, ars []*arena.Arena) ([]*core.Circuit, error) {
+	var ar *arena.Arena
+	if len(ars) > 0 {
+		ar = ars[0]
+	}
+	// TrainSize is stamped onto a deep copy of the fabric: the original
+	// is shared across parallel workers and must never be mutated.
+	var spec *netem.GraphSpec
+	if e.sc.Topology.Fabric != nil {
+		s := e.sc.Topology.Fabric.Clone()
+		for i := range s.Trunks {
+			s.Trunks[i].Config.TrainSize = e.sc.TrainSize
+		}
+		spec = &s
+	}
+	if e.sc.Shards > 0 {
+		sn, err := core.NewShardedNetwork(seed, *spec, e.sc.Shards, ars)
+		if err != nil {
+			return nil, err
+		}
+		e.net, e.plane = sn, newBarrierPlane(e, sn, spec.MinPositiveTrunkDelay())
+	} else {
+		n, err := workload.NewNetwork(seed, spec, ar, e.sc.TrainSize)
+		if err != nil {
+			return nil, err
+		}
+		e.net, e.plane = n, &clockPlane{e: e, n: n}
+	}
+	var initial []*core.Circuit
+	if e.sc.Topology.Population != nil {
+		pop, err := workload.Populate(seed, e.net, workloadParams(e.sc, e.arm))
+		if err != nil {
+			return nil, err
+		}
+		initial, e.cons, e.access = pop.Circuits, pop.Consensus, pop.Params.ClientAccess
+	} else {
+		var err error
+		if initial, e.access, err = populateExplicit(e.net, e.sc, e.arm); err != nil {
+			return nil, err
+		}
+	}
+	if n, ok := e.net.(*core.Network); ok {
+		// Link events and resource-manager kills exist only on one
+		// clock: validateSharded rejects both on shards.
+		scheduleEvents(n, e.sc.Events)
+		n.OnKill(e.onKill)
+	}
+	if e.sc.Faults.Enabled() {
+		e.inj = faults.Install(e.net, e.sc.Faults, seed)
+	}
+	if e.sc.Faults.Recovery.Enabled {
+		e.recovRNG = sim.NewRNG(seed, "faults-recovery-paths")
+		e.resil.TTR = newTTRDist(e.arm.Name)
+	}
+	return initial, nil
 }
 
 // run plays the trial and renders its outcomes and accounting.

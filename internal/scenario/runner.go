@@ -325,7 +325,7 @@ func pathFor(sc Scenario, cons *directory.Consensus, rng *sim.RNG, excl map[nete
 
 // arrivalDelays renders the arrival process into per-circuit start
 // offsets, drawn from seed-derived streams so they are identical across
-// arms, worker counts and engines. Uniform starts of a churn-free,
+// arms, worker counts and control planes. Uniform starts of a churn-free,
 // fixed-size trial over a generated population come from
 // "workload-starts", the stream the paper's aggregate experiment has
 // always drawn its stagger from; every other uniform trial draws from

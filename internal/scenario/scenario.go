@@ -215,16 +215,16 @@ type Scenario struct {
 	// back-to-back queued cells into single link events, trading event
 	// count for coarser link interleaving (see netem.LinkConfig).
 	TrainSize int
-	// Shards, when positive, runs every trial on the sharded
-	// conservative-lookahead engine: the Fabric is partitioned into at
-	// most Shards shards (netem.PartitionGraph), each advancing on its
-	// own clock and goroutine, coupled only through cut-trunk handoffs.
-	// Results are byte-identical for ANY positive value — Shards = 1 is
-	// the reference single-shard engine and larger counts must reproduce
-	// it exactly — but not to the Shards = 0 single-clock engine, whose
-	// control-plane timing (early stop, teardown instants) differs.
-	// Requires a Fabric topology; see validateSharded for the features
-	// the sharded engine rejects.
+	// Shards, when positive, runs every trial conservative-lookahead
+	// parallel on the barrier control plane: the Fabric is partitioned
+	// into at most Shards shards (netem.PartitionGraph), each advancing
+	// on its own clock and goroutine, coupled only through cut-trunk
+	// handoffs, with control actions run at barriers. Results are
+	// byte-identical for ANY positive value — Shards = 1 is the reference
+	// and larger counts must reproduce it exactly — but not to Shards = 0
+	// (one clock), whose control-plane timing (early stop, teardown
+	// instants) differs. Requires a Fabric topology; see validateSharded
+	// for the features sharding rejects.
 	Shards int
 	// Probes selects instrumentation.
 	Probes Probes

@@ -314,8 +314,8 @@ func DimTrainSize(sizes ...int) (Dimension, error) {
 }
 
 // DimShards returns a dimension sweeping the trial-internal shard
-// count on the conservative-lookahead parallel engine. Count 0 is the
-// single-clock engine; every count ≥ 1 is byte-identical to count 1,
+// count on the conservative-lookahead parallel engine. Count 0 runs on
+// one clock; every count ≥ 1 is byte-identical to count 1,
 // so a sweep over {1, n} measures what sharding does to the simulated
 // outcomes (it must be nothing) and to wall-clock runtime. Counts ≥ 1
 // need a routed Fabric topology with loss-free trunks.
