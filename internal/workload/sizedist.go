@@ -58,12 +58,12 @@ func (d SizeDist) Validate() error {
 	switch d.Kind {
 	case SizeFixed:
 	case SizeLogNormal:
-		if d.Sigma <= 0 {
-			return fmt.Errorf("workload: lognormal size dist: sigma %g must be positive", d.Sigma)
+		if !finitePositive(d.Sigma) {
+			return fmt.Errorf("workload: lognormal size dist: sigma %g must be positive and finite", d.Sigma)
 		}
 	case SizePareto:
-		if d.Alpha <= 0 {
-			return fmt.Errorf("workload: pareto size dist: alpha %g must be positive", d.Alpha)
+		if !finitePositive(d.Alpha) {
+			return fmt.Errorf("workload: pareto size dist: alpha %g must be positive and finite", d.Alpha)
 		}
 		if d.Max <= 0 {
 			return fmt.Errorf("workload: pareto size dist: max bound required (bounded Pareto)")
@@ -76,6 +76,10 @@ func (d SizeDist) Validate() error {
 	}
 	return nil
 }
+
+// finitePositive reports whether v is a positive finite number (NaN
+// fails every comparison, so a plain v <= 0 check lets it through).
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Label renders the distribution in the compact colon form ParseSizeDist
 // accepts — the canonical spec-field and sweep-coordinate spelling.
@@ -112,19 +116,33 @@ func (d SizeDist) Sample(seed int64, n int) ([]units.DataSize, error) {
 		case SizePareto:
 			v = boundedPareto(rng.Uniform(0, 1), float64(d.Size), float64(d.Max), d.Alpha)
 		}
-		s := units.DataSize(math.Round(v))
+		s := toSize(math.Round(v))
 		if d.Min > 0 && s < d.Min {
 			s = d.Min
 		}
 		if d.Max > 0 && s > d.Max {
 			s = d.Max
 		}
-		if s < 1 {
-			s = 1
-		}
 		out[i] = s
 	}
 	return out, nil
+}
+
+// maxSizeFloat is 2^63, the first float64 beyond the int64 range.
+const maxSizeFloat = float64(1 << 63)
+
+// toSize converts a rounded sample to a size of at least 1 byte,
+// saturating at the int64 range: converting an out-of-range or NaN
+// float to an integer is implementation-defined in Go (it wraps on
+// amd64), so the clamp happens in float first.
+func toSize(v float64) units.DataSize {
+	switch {
+	case v >= maxSizeFloat:
+		return math.MaxInt64
+	case !(v >= 1): // also NaN
+		return 1
+	}
+	return units.DataSize(v)
 }
 
 // boundedPareto inverts the bounded-Pareto CDF on [lo, hi] with shape
@@ -154,44 +172,43 @@ func ParseSizeDist(s string) (SizeDist, error) {
 	bad := func() (SizeDist, error) {
 		return SizeDist{}, fmt.Errorf("workload: bad size dist %q (want fixed:<bytes>, lognormal:<median>:<sigma> or pareto:<scale>:<alpha>:<max>)", s)
 	}
-	num := func(p string) (float64, bool) {
-		v, err := strconv.ParseFloat(p, 64)
-		return v, err == nil
+	// num parses one field; a non-finite value, or a byte count outside
+	// the int64 range, is rejected before any integer conversion.
+	var err error
+	num := func(p string) float64 {
+		v, perr := strconv.ParseFloat(p, 64)
+		switch {
+		case err != nil:
+		case perr != nil:
+			_, err = bad()
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			err = fmt.Errorf("workload: size dist %q: %s is not a finite number", s, p)
+		}
+		return v
+	}
+	size := func(p string) units.DataSize {
+		v := num(p)
+		if err == nil && (v < -maxSizeFloat || v >= maxSizeFloat) {
+			err = fmt.Errorf("workload: size dist %q: %s bytes does not fit in an int64", s, p)
+		}
+		if err != nil {
+			return 0
+		}
+		return units.DataSize(v)
 	}
 	var d SizeDist
-	switch SizeDistKind(parts[0]) {
-	case SizeFixed:
-		if len(parts) != 2 {
-			return bad()
-		}
-		v, ok := num(parts[1])
-		if !ok {
-			return bad()
-		}
-		d = SizeDist{Kind: SizeFixed, Size: units.DataSize(v)}
-	case SizeLogNormal:
-		if len(parts) != 3 {
-			return bad()
-		}
-		v, ok1 := num(parts[1])
-		sg, ok2 := num(parts[2])
-		if !ok1 || !ok2 {
-			return bad()
-		}
-		d = SizeDist{Kind: SizeLogNormal, Size: units.DataSize(v), Sigma: sg}
-	case SizePareto:
-		if len(parts) != 4 {
-			return bad()
-		}
-		v, ok1 := num(parts[1])
-		al, ok2 := num(parts[2])
-		mx, ok3 := num(parts[3])
-		if !ok1 || !ok2 || !ok3 {
-			return bad()
-		}
-		d = SizeDist{Kind: SizePareto, Size: units.DataSize(v), Alpha: al, Max: units.DataSize(mx)}
+	switch kind := SizeDistKind(parts[0]); {
+	case kind == SizeFixed && len(parts) == 2:
+		d = SizeDist{Kind: kind, Size: size(parts[1])}
+	case kind == SizeLogNormal && len(parts) == 3:
+		d = SizeDist{Kind: kind, Size: size(parts[1]), Sigma: num(parts[2])}
+	case kind == SizePareto && len(parts) == 4:
+		d = SizeDist{Kind: kind, Size: size(parts[1]), Alpha: num(parts[2]), Max: size(parts[3])}
 	default:
 		return bad()
+	}
+	if err != nil {
+		return SizeDist{}, err
 	}
 	return d, d.Validate()
 }

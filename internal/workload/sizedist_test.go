@@ -52,11 +52,73 @@ func TestParseSizeDistErrors(t *testing.T) {
 		"pareto:1000:1.1:500",    // max below min
 		"fixed:100:9",            // trailing field
 		"pareto:1000:1.1:2000:3", // trailing field
+		"lognormal:1000:NaN",     // non-finite sigma
+		"lognormal:1000:+Inf",
+		"pareto:1000:NaN:5000", // non-finite alpha
+		"pareto:1000:Inf:5000",
+		"fixed:1e300",       // beyond int64
+		"fixed:NaN",         // non-finite size
+		"pareto:1:2:1e19",   // max beyond int64
+		"lognormal:-1e19:1", // below int64
 	} {
 		if _, err := ParseSizeDist(src); err == nil {
 			t.Errorf("ParseSizeDist(%q) accepted", src)
 		}
 	}
+}
+
+// TestSampleSaturates pins that draws beyond the int64 range saturate
+// instead of wrapping to tiny sizes: with a 9e18 B median no genuine
+// draw falls below 1e15 B.
+func TestSampleSaturates(t *testing.T) {
+	d, err := ParseSizeDist("lognormal:9e18:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes, err := d.Sample(1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sizes {
+		if s < 1e15 {
+			t.Errorf("sample %d = %d B: an out-of-range draw wrapped", i, s)
+		}
+	}
+}
+
+// FuzzParseSizeDist checks every accepted spelling: its label parses
+// back to the same distribution, and its samples respect the clamps.
+func FuzzParseSizeDist(f *testing.F) {
+	for _, s := range []string{
+		"fixed:500000", "lognormal:200000:0.75", "pareto:100000:1.2:10000000", "4096",
+		"lognormal:1000:NaN", "pareto:1000:NaN:5000", "lognormal:1000:+Inf",
+		"pareto:1000:Inf:5000", "lognormal:9e18:1", "fixed:1e300",
+	} {
+		f.Add(s, int64(1))
+	}
+	f.Fuzz(func(t *testing.T, s string, seed int64) {
+		d, err := ParseSizeDist(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseSizeDist(d.Label())
+		if err != nil || back != d {
+			t.Fatalf("%q: label %q parses to %+v (%v), want %+v", s, d.Label(), back, err, d)
+		}
+		sizes, err := d.Sample(seed, 8)
+		if err != nil {
+			t.Fatalf("%q: accepted but Sample fails: %v", s, err)
+		}
+		lo := d.Min
+		if lo < 1 {
+			lo = 1
+		}
+		for i, v := range sizes {
+			if v < lo || (d.Max > 0 && v > d.Max) {
+				t.Fatalf("%q seed %d: sample %d = %d outside [%d, %d]", s, seed, i, v, lo, d.Max)
+			}
+		}
+	})
 }
 
 // TestSampleDeterministic pins the seeding contract: same seed, same
