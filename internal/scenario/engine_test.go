@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -298,6 +299,83 @@ func TestGeneratedRunFullHorizon(t *testing.T) {
 		next, pending := e.plane.(*clockPlane).n.Clock().Next()
 		if ranToHorizon := !pending || next > sc.Horizon; ranToHorizon != full {
 			t.Errorf("RunFullHorizon=%v: ran to horizon %v (next event %v, pending %v)", full, ranToHorizon, next, pending)
+		}
+	}
+}
+
+// differentialScenario is a churn-free generated trial over a backbone,
+// run on either plane.
+func differentialScenario(t *testing.T, shards, train int, arrival Arrival, full bool) Scenario {
+	bp := workload.DefaultBackboneParams(24, 4)
+	spec, err := workload.GenerateBackbone(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Scenario{
+		Name:     "differential",
+		Seed:     7,
+		Shards:   shards,
+		Topology: Topology{Population: &bp.Relays, Fabric: &spec},
+		Circuits: CircuitSet{Count: 6, Hops: 3, TransferSize: 200 * units.Kilobyte, Arrival: arrival},
+		Arms: []Arm{
+			{Name: "circuitstart"},
+			{Name: "backtap", Transport: core.TransportOptions{Policy: "backtap"}},
+		},
+		TrainSize:      train,
+		Horizon:        10 * sim.Second,
+		RunFullHorizon: full,
+	}
+}
+
+// TestEngineDifferential runs the same churn-free trial on the clock
+// plane (Shards 0) and the barrier plane (Shards 1). Every per-circuit
+// outcome must agree. Trunk statistics must agree only under
+// RunFullHorizon: with an early stop the clock stops at the last
+// completion and the barrier plane at the barrier after it, so frames
+// still in flight are counted on one plane and not the other. (Churn
+// trials diverge by design; see DESIGN.md, "The scenario layer".)
+func TestEngineDifferential(t *testing.T) {
+	arrivals := map[string]Arrival{
+		"together": {},
+		"uniform":  {Kind: ArriveUniform, Spread: 150 * time.Millisecond},
+		"poisson":  {Kind: ArrivePoisson, Rate: 30},
+	}
+	for _, kind := range []string{"together", "uniform", "poisson"} {
+		for _, train := range []int{0, 2} {
+			for _, full := range []bool{false, true} {
+				name := fmt.Sprintf("%s/train=%d/full=%v", kind, train, full)
+				t.Run(name, func(t *testing.T) {
+					var res [2]*Result
+					for shards := range res {
+						r, err := Runner{Workers: 1}.Run(differentialScenario(t, shards, train, arrivals[kind], full))
+						if err != nil {
+							t.Fatal(err)
+						}
+						res[shards] = r
+					}
+					for i, clock := range res[0].Arms {
+						barrier := res[1].Arms[i]
+						if len(clock.Circuits) != len(barrier.Circuits) {
+							t.Fatalf("arm %s: %d vs %d outcomes", clock.Name, len(clock.Circuits), len(barrier.Circuits))
+						}
+						for j, a := range clock.Circuits {
+							b := barrier.Circuits[j]
+							if !a.Done {
+								t.Errorf("arm %s circuit %d incomplete", clock.Name, j)
+							}
+							// Churn-free single-clock trials report no
+							// StartAt; the barrier plane always has.
+							b.StartAt = 0
+							if a != b {
+								t.Errorf("arm %s circuit %d: clock %+v, barrier %+v", clock.Name, j, a, b)
+							}
+						}
+						if full && !reflect.DeepEqual(clock.Net, barrier.Net) {
+							t.Errorf("arm %s net stats: clock %+v, barrier %+v", clock.Name, clock.Net, barrier.Net)
+						}
+					}
+				})
+			}
 		}
 	}
 }
