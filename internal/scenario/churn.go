@@ -610,8 +610,8 @@ func crossesRelay(c *core.Circuit, id netem.NodeID) bool {
 // collect renders the engine's downloads into outcomes, in download
 // index order. With churn on, circuits still alive at the stop are torn
 // down here so their lifetimes and pooled state are accounted too;
-// churn-free trials leave them standing and report no Aborted, and
-// single-clock ones no StartAt either, as each engine always did.
+// churn-free trials leave them standing and report no Aborted, and on
+// the clock plane no StartAt (DESIGN.md, "The scenario layer", rule 3).
 func (e *engine) collect(rep int) []CircuitOutcome {
 	out := make([]CircuitOutcome, len(e.downloads))
 	for i, d := range e.downloads {
